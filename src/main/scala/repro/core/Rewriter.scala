@@ -29,9 +29,7 @@ object Rewriter {
   def concatToPattern(e: SgaExpr): Option[SgaExpr] = e match {
     case SgaExpr.Path(ins, Regex.Concat(parts), d) if parts.forall(_.isInstanceOf[Regex.Lbl]) =>
       val byLabel = ins.map(i => i.outLabel -> i).toMap
-      val chain   = parts.collect { case Regex.Lbl(l) => byLabel(l) }
-      val eqs     = (0 until chain.size - 1).map(i => (SgaExpr.trg(i), SgaExpr.src(i + 1))).toList
-      Some(SgaExpr.Pattern(chain, eqs, SgaExpr.src(0), SgaExpr.trg(chain.size - 1), d))
+      Some(SgaExpr.chain(parts.collect { case Regex.Lbl(l) => byLabel(l) }, d))
     case _ => None
   }
 

@@ -93,6 +93,14 @@ object SgaExpr {
     def outLabel: String = label
   }
 
+  /** Left-to-right chain join `in_1 ⋈_{trg_1=src_2} in_2 ⋈ … ⋈ in_n`
+    * projecting `(src_1, trg_n)` — the PATTERN of rule "Concatenation"
+    * (§5.4).
+    */
+  def chain(ins: List[SgaExpr], outLabel: String): Pattern =
+    Pattern(ins, (0 until ins.size - 1).map(i => (trg(i), src(i + 1))).toList,
+            src(0), trg(ins.size - 1), outLabel)
+
   /** PATH (Def. 20): regular-expression navigation over the inputs; the
     * regex alphabet must match the input labels one-to-one.
     */

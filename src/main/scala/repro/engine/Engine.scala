@@ -79,8 +79,13 @@ object Engine {
     runOn(df, mode, stream, slide, keepLog)
   }
 
+  /** @throws IllegalArgumentException if `stream` is not ts-ordered: the
+    * slide loop and the direct-mode [[repro.physical.Coalescer]] assume
+    * in-order input.
+    */
   def runOn(df: Dataflow, mode: Mode, stream: Seq[Sge], slide: Long,
             keepLog: Boolean = true): RunResult = {
+    requireOrdered(stream)
     val relevant = stream.filter(e => df.relevantLabels.contains(e.label))
     val stats    = mutable.ListBuffer.empty[SlideStat]
     val log      = mutable.ListBuffer.empty[(Long, Delta)]
@@ -112,5 +117,19 @@ object Engine {
       }
     }
     RunResult(mode, slide, stats.toList, log.toList, df.stateSize)
+  }
+
+  private def requireOrdered(stream: Seq[Sge]): Unit = {
+    val it   = stream.iterator
+    var prev = Long.MinValue
+    var i    = 0
+    while (it.hasNext) {
+      val ts = it.next().ts
+      if (ts < prev)
+        throw new IllegalArgumentException(
+          s"input stream is not ts-ordered: sge $i has ts $ts < ts $prev of sge ${i - 1}")
+      prev = ts
+      i += 1
+    }
   }
 }

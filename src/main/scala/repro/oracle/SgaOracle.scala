@@ -3,7 +3,7 @@ package repro.oracle
 import repro.core.{Dfa, Regex, SgaExpr}
 
 /** Compiles an [[SgaExpr]] snapshot evaluation into a single DuckDB SQL
-  * statement, for use with [[repro.Oracle.assertEquivalent]].
+  * statement, for use with the test-scope `repro.Oracle.assertEquivalent`.
   *
   * The input stream is expected as a table ``stream(src, trg, label, ts)``
   * (all VARCHAR — the oracle loads DataFrames untyped). WSCAN windowing,

@@ -27,22 +27,14 @@ import scala.collection.mutable
 final class DdPathNode(regex: Regex, outLabel: String) extends Node {
   val dfa: Dfa = Dfa.fromRegex(regex)
 
-  private val revTrans: Map[(String, Int), Seq[Int]] =
-    dfa.transitions.toSeq.groupBy { case ((_, l), q) => (l, q) }
-      .view.mapValues(_.map { case ((s, _), _) => s }).toMap
-
-  private final class Tree(val rootV: Long) {
+  private final class Tree(val rootV: Long) extends PathForest.Tree {
     // Minimal round of each (v, s); the root tuple is round 0 and pinned.
     val levels = mutable.HashMap[(Long, Int), Int]((rootV, dfa.start) -> 0)
+    def size: Int = levels.size
   }
 
-  // Counted edge multiset plus forward/reverse adjacency (distinct edges).
-  private val edgeCounts = mutable.HashMap.empty[(Long, Long, String), Int]
-  private val fwd = mutable.HashMap.empty[Long, mutable.HashSet[(Long, String)]]
-  private val rev = mutable.HashMap.empty[Long, mutable.HashSet[(Long, String)]]
-
-  private val trees    = mutable.HashMap.empty[Long, Tree]
-  private val inverted = mutable.HashMap.empty[(Long, Int), mutable.HashSet[Tree]]
+  private val graph    = new WindowGraph(dfa)
+  private val forest   = new PathForest[Tree](dfa, new Tree(_))
   private val counting = new CountingDistinct
 
   /** Operator metric: arrangement-maintenance steps (level updates and
@@ -53,24 +45,10 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
   override def receive(d: Delta, slot: Int): Unit =
     if (d.sign == 1) insert(d.sgt) else delete(d.sgt)
 
-  private def insert(t: Sgt): Unit = {
-    val k = (t.src, t.trg, t.label)
-    val c = edgeCounts.getOrElse(k, 0) + 1
-    edgeCounts(k) = c
-    if (c > 1) return
-    fwd.getOrElseUpdate(t.src, mutable.HashSet.empty) += ((t.trg, t.label))
-    rev.getOrElseUpdate(t.trg, mutable.HashSet.empty) += ((t.src, t.label))
-
-    for ((s, q) <- dfa.transitionsOn(t.label)) {
-      if (s == dfa.start && !trees.contains(t.src)) {
-        val tree = new Tree(t.src)
-        trees(t.src) = tree
-        inverted.getOrElseUpdate((t.src, dfa.start), mutable.HashSet.empty) += tree
-      }
-      for (tree <- inverted.getOrElse((t.src, s), mutable.HashSet.empty).toList)
+  private def insert(t: Sgt): Unit =
+    if (graph.insert(t))
+      for ((s, q) <- dfa.transitionsOn(t.label); tree <- forest.treesFrom(t.src, s))
         relax(tree, t.trg, q, tree.levels((t.src, s)) + 1)
-    }
-  }
 
   /** Monotone level-decrease relaxation wave (DD round forward-pass). */
   private def relax(tree: Tree, v0: Long, s0: Int, cand0: Int): Unit = {
@@ -81,32 +59,23 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
       val cur = tree.levels.get((v, s))
       if (cur.forall(_ > cand)) {
         if (cur.isEmpty) {
-          inverted.getOrElseUpdate((v, s), mutable.HashSet.empty) += tree
+          forest.index(v, s, tree)
           if (dfa.finals.contains(s)) emitDelta(tree, v, +1)
         }
         tree.levels((v, s)) = cand
-        for ((w, lbl) <- fwd.getOrElse(v, mutable.HashSet.empty); q <- dfa.delta(s, lbl))
-          queue.enqueue((w, q, cand + 1))
+        for ((w, q, _) <- graph.successors(v, s)) queue.enqueue((w, q, cand + 1))
       }
     }
   }
 
-  private def delete(t: Sgt): Unit = {
-    val k = (t.src, t.trg, t.label)
-    val c = edgeCounts.getOrElse(k, 0) - 1
-    require(c >= 0, s"negative tuple for absent edge $k")
-    if (c > 0) { edgeCounts(k) = c; return }
-    edgeCounts.remove(k)
-    fwd.get(t.src).foreach(_ -= ((t.trg, t.label)))
-    rev.get(t.trg).foreach(_ -= ((t.src, t.label)))
-
-    // Every tree holding the source tuple of this edge must re-stabilize
-    // the target tuple (and transitively its successors).
-    for ((s, q) <- dfa.transitionsOn(t.label);
-         tree <- inverted.getOrElse((t.src, s), mutable.HashSet.empty).toList
-         if tree.levels.contains((t.trg, q)))
-      restabilize(tree, t.trg, q)
-  }
+  /** Every tree holding the source tuple of the deleted edge must
+    * re-stabilize the target tuple (and transitively its successors).
+    */
+  private def delete(t: Sgt): Unit =
+    if (graph.delete(t))
+      for ((s, q) <- dfa.transitionsOn(t.label); tree <- forest.treesWith(t.src, s)
+           if tree.levels.contains((t.trg, q)))
+        restabilize(tree, t.trg, q)
 
   /** Level-increase repair: recompute a suspect's minimal round from its
     * in-neighbours; increases cascade to successors, and tuples whose
@@ -125,8 +94,7 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
             // that the tuple is underivable.
             val bound = tree.levels.size
             var best  = Int.MaxValue
-            for ((u, lbl) <- rev.getOrElse(v, mutable.HashSet.empty);
-                 sp <- revTrans.getOrElse((lbl, s), Nil)) {
+            for ((u, lbl) <- graph.inEdges(v); sp <- dfa.sourcesInto(lbl, s)) {
               stabilizationSteps += 1
               tree.levels.get((u, sp)) match {
                 case Some(lu) if (u, sp) != ((v, s)) => best = math.min(best, lu + 1)
@@ -136,10 +104,7 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
             if (best == cur) ()
             else if (best > bound) { // underivable: retract and cascade
               tree.levels.remove((v, s))
-              inverted.get((v, s)).foreach { set =>
-                set -= tree
-                if (set.isEmpty) inverted.remove((v, s))
-              }
+              forest.unindex(v, s, tree)
               if (dfa.finals.contains(s)) emitDelta(tree, v, -1)
               enqueueSuccessors(tree, v, s, queue)
             } else if (best != cur) { // round shifted: re-stabilize successors
@@ -153,8 +118,7 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
 
   private def enqueueSuccessors(tree: Tree, v: Long, s: Int,
                                 queue: mutable.Queue[(Long, Int)]): Unit =
-    for ((w, lbl) <- fwd.getOrElse(v, mutable.HashSet.empty); q <- dfa.delta(s, lbl)
-         if tree.levels.contains((w, q))) {
+    for ((w, q, _) <- graph.successors(v, s) if tree.levels.contains((w, q))) {
       stabilizationSteps += 1
       queue.enqueue((w, q))
     }
@@ -168,5 +132,5 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
   }
 
   /** State-size metric: total tuples resident across all rounds. */
-  def stateSize: Long = trees.valuesIterator.map(_.levels.size.toLong).sum
+  override def stateSize: Long = forest.stateSize
 }

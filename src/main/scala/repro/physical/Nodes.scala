@@ -54,39 +54,61 @@ abstract class Node {
 
   def receive(d: Delta, slot: Int): Unit
   def advance(now: Long): Unit = {}
+
+  /** Operator state (tuples or tree nodes) resident; 0 for stateless nodes. */
+  def stateSize: Long = 0L
+}
+
+/** Set semantics at an operator output: [[Coalescer]] in direct mode,
+  * [[CountingDistinct]] under negative tuples. A plan picks the
+  * implementation once per mode, so operators never branch on it.
+  */
+trait SetSemantics {
+  /** Offer a signed result; returns the delta to emit, if any. */
+  def offer(d: Delta): Option[Delta]
+  /** Drop state that expired by `now`. */
+  def purge(now: Long): Unit = ()
+}
+
+object SetSemantics {
+  def apply(mode: Mode): SetSemantics =
+    if (mode == Mode.Direct) new Coalescer else new CountingDistinct
 }
 
 /** Coalescer (paper Def. 11 at operator outputs, §5.1): enforces set
   * semantics in direct mode. Keyed by the distinguished attributes, it
   * suppresses results whose validity is covered by what was already
   * emitted and emits interval-extended results otherwise. Sound for
-  * in-order streams: a later result for the same key never starts
-  * earlier than an already-emitted one with a larger expiry.
+  * in-order streams (which `Engine.runOn` enforces): a later result for
+  * the same key never starts earlier than an already-emitted one with a
+  * larger expiry.
   */
-final class Coalescer {
+final class Coalescer extends SetSemantics {
   private val state = mutable.HashMap.empty[(Long, Long, String), (Long, Long)]
 
-  /** Offer a result; returns the (possibly merged) sgt to emit, if any. */
-  def offer(t: Sgt): Option[Sgt] = state.get(t.key) match {
-    case Some((_, exp0)) if t.exp <= exp0 => None
-    case Some((ts0, exp0)) if math.max(ts0, t.ts) <= math.min(exp0, t.exp) =>
-      val merged = (math.min(ts0, t.ts), t.exp)
-      state(t.key) = merged
-      Some(t.copy(ts = merged._1))
-    case _ =>
-      state(t.key) = (t.ts, t.exp)
-      Some(t)
+  def offer(d: Delta): Option[Delta] = {
+    require(d.sign == 1, "direct mode never processes deletions")
+    val t = d.sgt
+    state.get(t.key) match {
+      case Some((_, exp0)) if t.exp <= exp0 => None
+      case Some((ts0, exp0)) if math.max(ts0, t.ts) <= math.min(exp0, t.exp) =>
+        val merged = (math.min(ts0, t.ts), t.exp)
+        state(t.key) = merged
+        Some(Delta(t.copy(ts = merged._1), 1))
+      case _ =>
+        state(t.key) = (t.ts, t.exp)
+        Some(d)
+    }
   }
 
-  def purge(now: Long): Unit = state.filterInPlace { case (_, (_, exp)) => exp > now }
-  def size: Int = state.size
+  override def purge(now: Long): Unit = state.filterInPlace { case (_, (_, exp)) => exp > now }
 }
 
 /** Counting-based DISTINCT (classical Counting IVM [35]) for the
   * negative-tuple mode: tracks derivation counts per distinguished key,
   * emitting an insert on 0→1 and a retraction on 1→0.
   */
-final class CountingDistinct {
+final class CountingDistinct extends SetSemantics {
   private val counts = mutable.HashMap.empty[(Long, Long, String), Int]
 
   def offer(d: Delta): Option[Delta] = {
@@ -98,8 +120,6 @@ final class CountingDistinct {
     else if (d.sign == -1 && c == 0) Some(d)
     else None
   }
-
-  def size: Int = counts.size
 }
 
 /** WSCAN (Def. 16): assigns validity `[ts, ⌊ts/slide⌋·slide + size)`.
@@ -146,20 +166,10 @@ final class FilterNode(pred: SgaExpr.SgtPredicate) extends Node {
     if (pred(d.sgt.src, d.sgt.trg, d.sgt.label)) emit(d)
 }
 
-/** UNION (Def. 18) with relabeling; set semantics via coalesce (direct)
-  * or counting distinct (negative-tuple).
-  */
-final class UnionNode(outLabel: String, mode: Mode) extends Node {
-  private val coalescer = new Coalescer
-  private val counting  = new CountingDistinct
+/** UNION (Def. 18) with relabeling; `distinct` restores set semantics. */
+final class UnionNode(outLabel: String, distinct: SetSemantics) extends Node {
+  override def receive(d: Delta, slot: Int): Unit =
+    distinct.offer(Delta(d.sgt.copy(label = outLabel), d.sign)).foreach(emit)
 
-  override def receive(d: Delta, slot: Int): Unit = {
-    val t = d.sgt.copy(label = outLabel)
-    mode match {
-      case Mode.Direct => coalescer.offer(t).foreach(o => emit(Delta(o, 1)))
-      case _           => counting.offer(Delta(t, d.sign)).foreach(emit)
-    }
-  }
-
-  override def advance(now: Long): Unit = if (mode == Mode.Direct) coalescer.purge(now)
+  override def advance(now: Long): Unit = distinct.purge(now)
 }

@@ -1,7 +1,7 @@
 package repro.physical
 
 import repro.core.{Dfa, Regex}
-import repro.core.Model.{Edge, Sgt}
+import repro.core.Model.Sgt
 import scala.collection.mutable
 
 /** PATH under the *negative-tuple* approach — the baseline of paper
@@ -21,31 +21,13 @@ import scala.collection.mutable
 final class NtPathNode(regex: Regex, outLabel: String) extends Node {
   val dfa: Dfa = Dfa.fromRegex(regex)
 
-  private final class TNode(val v: Long, val s: Int) {
-    var parent: TNode = _
-    var parentLabel: String = _
-    val children = mutable.HashSet.empty[TNode]
+  private final class TNode(v: Long, s: Int) extends TreeNode[TNode](v, s) {
     var marked = false
   }
+  private type Tree = SpanningTree[TNode]
 
-  private final class Tree(val rootV: Long) {
-    val root = new TNode(rootV, dfa.start)
-    val nodes = mutable.HashMap[(Long, Int), TNode]((rootV, dfa.start) -> root)
-  }
-
-  // Window content as a counted edge multiset plus forward/reverse
-  // adjacency over the currently present distinct edges.
-  private val edgeCounts = mutable.HashMap.empty[(Long, Long, String), Int]
-  private val fwd = mutable.HashMap.empty[Long, mutable.HashSet[(Long, String)]]
-  private val rev = mutable.HashMap.empty[Long, mutable.HashSet[(Long, String)]]
-
-  // Reverse transition index: (label, targetState) -> source states.
-  private val revTrans: Map[(String, Int), Seq[Int]] =
-    dfa.transitions.toSeq.groupBy { case ((_, l), q) => (l, q) }
-      .view.mapValues(_.map { case ((s, _), _) => s }).toMap
-
-  private val trees    = mutable.HashMap.empty[Long, Tree]
-  private val inverted = mutable.HashMap.empty[(Long, Int), mutable.HashSet[Tree]]
+  private val graph    = new WindowGraph(dfa)
+  private val forest   = new PathForest[Tree](dfa, rootV => new SpanningTree(new TNode(rootV, dfa.start)))
   private val counting = new CountingDistinct
 
   /** Operator metrics: re-derivation traversal steps (the NT overhead). */
@@ -54,26 +36,12 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
   override def receive(d: Delta, slot: Int): Unit =
     if (d.sign == 1) insert(d.sgt) else delete(d.sgt)
 
-  private def insert(t: Sgt): Unit = {
-    val k = (t.src, t.trg, t.label)
-    val c = edgeCounts.getOrElse(k, 0) + 1
-    edgeCounts(k) = c
-    if (c > 1) return // duplicate edge: no change to the distinct graph
-    fwd.getOrElseUpdate(t.src, mutable.HashSet.empty) += ((t.trg, t.label))
-    rev.getOrElseUpdate(t.trg, mutable.HashSet.empty) += ((t.src, t.label))
-
-    for ((s, q) <- dfa.transitionsOn(t.label)) {
-      if (s == dfa.start && !trees.contains(t.src)) {
-        val tree = new Tree(t.src)
-        trees(t.src) = tree
-        inverted.getOrElseUpdate((t.src, dfa.start), mutable.HashSet.empty) += tree
-      }
-      for (tree <- inverted.getOrElse((t.src, s), mutable.HashSet.empty).toList) {
+  private def insert(t: Sgt): Unit =
+    if (graph.insert(t)) // duplicates leave the distinct graph unchanged
+      for ((s, q) <- dfa.transitionsOn(t.label); tree <- forest.treesFrom(t.src, s)) {
         val parent = tree.nodes((t.src, s))
         if (!tree.nodes.contains((t.trg, q))) expand(tree, parent, t.trg, q, t.label)
       }
-    }
-  }
 
   /** BFS expansion of newly reachable `(vertex, state)` nodes. */
   private def expand(tree: Tree, parent0: TNode, v0: Long, s0: Int, l0: String): Unit = {
@@ -83,43 +51,28 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
       if (!tree.nodes.contains((v, s))) {
         rederivationSteps += 1
         val node = new TNode(v, s)
-        node.parent = parent; node.parentLabel = l
-        parent.children += node
+        node.attach(parent, l)
         tree.nodes((v, s)) = node
-        inverted.getOrElseUpdate((v, s), mutable.HashSet.empty) += tree
+        forest.index(v, s, tree)
         if (dfa.finals.contains(s)) emitDelta(tree, node, +1)
-        for {
-          (w, lbl) <- fwd.getOrElse(v, mutable.HashSet.empty)
-          q <- dfa.delta(s, lbl)
-          if !tree.nodes.contains((w, q))
-        } queue.enqueue((node, w, q, lbl))
+        for ((w, q, lbl) <- graph.successors(v, s) if !tree.nodes.contains((w, q)))
+          queue.enqueue((node, w, q, lbl))
       }
     }
   }
 
-  private def delete(t: Sgt): Unit = {
-    val k = (t.src, t.trg, t.label)
-    val c = edgeCounts.getOrElse(k, 0) - 1
-    require(c >= 0, s"negative tuple for absent edge $k")
-    if (c > 0) { edgeCounts(k) = c; return }
-    edgeCounts.remove(k)
-    fwd.get(t.src).foreach(_ -= ((t.trg, t.label)))
-    rev.get(t.trg).foreach(_ -= ((t.src, t.label)))
-
-    // For every tree edge supported by the deleted graph edge: DRed-style
-    // mark-and-rederive.
-    for ((s, q) <- dfa.transitionsOn(t.label)) {
-      for (tree <- inverted.getOrElse((t.src, s), mutable.HashSet.empty).toList) {
-        val parentOpt = tree.nodes.get((t.src, s))
-        val childOpt  = tree.nodes.get((t.trg, q))
-        (parentOpt, childOpt) match {
-          case (Some(p), Some(ch)) if (ch.parent eq p) && ch.parentLabel == t.label =>
+  /** For every tree edge supported by the deleted graph edge: DRed-style
+    * mark-and-rederive.
+    */
+  private def delete(t: Sgt): Unit =
+    if (graph.delete(t))
+      for ((s, q) <- dfa.transitionsOn(t.label); tree <- forest.treesWith(t.src, s)) {
+        (tree.nodes.get((t.src, s)), tree.nodes.get((t.trg, q))) match {
+          case (Some(p), Some(ch)) if (ch.parent eq p) && ch.parentEdge.label == t.label =>
             rederive(tree, ch)
           case _ => ()
         }
       }
-    }
-  }
 
   /** Mark the subtree cut off at `cut`, search the snapshot graph for
     * alternative derivations from the unmarked region, cascade, and
@@ -143,7 +96,7 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
     for (m <- marked if m.marked) {
       rederivationSteps += 1
       findAltParent(tree, m) match {
-        case Some((p, lbl)) => reattach(tree, m, p, lbl); queue.enqueue(m)
+        case Some((p, lbl)) => reattach(m, p, lbl); queue.enqueue(m)
         case None           => ()
       }
     }
@@ -154,8 +107,7 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
       // The remaining subtree of a revalidated node is derivable through
       // its tree edges — but only where the supporting graph edge still
       // exists (the deleted edge may support several tree edges).
-      def supported(d: TNode): Boolean =
-        edgeCounts.contains((d.parent.v, d.v, d.parentLabel))
+      def supported(d: TNode): Boolean = graph.contains(d.parentEdge)
       val sub = mutable.Stack.empty[TNode]
       sub.pushAll(n.children.filter(c => c.marked && supported(c)))
       while (sub.nonEmpty) {
@@ -164,11 +116,8 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
         queue.enqueue(d)
         sub.pushAll(d.children.filter(c => c.marked && supported(c)))
       }
-      for {
-        (w, lbl) <- fwd.getOrElse(n.v, mutable.HashSet.empty)
-        q <- dfa.delta(n.s, lbl)
-      } tree.nodes.get((w, q)) match {
-        case Some(m) if m.marked => reattach(tree, m, n, lbl); queue.enqueue(m)
+      for ((w, q, lbl) <- graph.successors(n.v, n.s)) tree.nodes.get((w, q)) match {
+        case Some(m) if m.marked => reattach(m, n, lbl); queue.enqueue(m)
         case _                   => ()
       }
     }
@@ -177,10 +126,7 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
     for (m <- marked if m.marked) {
       tree.nodes.remove((m.v, m.s))
       m.parent.children -= m
-      inverted.get((m.v, m.s)).foreach { set =>
-        set -= tree
-        if (set.isEmpty) inverted.remove((m.v, m.s))
-      }
+      forest.unindex(m.v, m.s, tree)
       if (dfa.finals.contains(m.s)) emitDelta(tree, m, -1)
     }
   }
@@ -189,9 +135,9 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
     * from which `m` is derivable ([62]'s alternative-path search).
     */
   private def findAltParent(tree: Tree, m: TNode): Option[(TNode, String)] = {
-    for ((u, lbl) <- rev.getOrElse(m.v, mutable.HashSet.empty)) {
+    for ((u, lbl) <- graph.inEdges(m.v)) {
       rederivationSteps += 1
-      for (s <- revTrans.getOrElse((lbl, m.s), Nil)) {
+      for (s <- dfa.sourcesInto(lbl, m.s)) {
         tree.nodes.get((u, s)) match {
           case Some(p) if !p.marked && (p ne m) => return Some((p, lbl))
           case _                                => ()
@@ -201,30 +147,18 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
     None
   }
 
-  private def reattach(tree: Tree, m: TNode, p: TNode, lbl: String): Unit = {
-    if (m.parent != null) m.parent.children -= m
-    m.parent = p; m.parentLabel = lbl
-    p.children += m
+  private def reattach(m: TNode, p: TNode, lbl: String): Unit = {
+    m.attach(p, lbl)
     m.marked = false
   }
 
   private def emitDelta(tree: Tree, node: TNode, sign: Int): Unit = {
     // NT tuples carry vacuous intervals: identity must be values-only so
     // downstream operators can match retractions against insertions.
-    val out = Sgt(tree.rootV, node.v, outLabel, 0L, Long.MaxValue, materialize(node))
+    val out = Sgt(tree.rootV, node.v, outLabel, 0L, Long.MaxValue, node.path)
     counting.offer(Delta(out, sign)).foreach(emit)
   }
 
-  private def materialize(node: TNode): List[Edge] = {
-    var cur = node
-    var acc = List.empty[Edge]
-    while (cur.parent != null) {
-      acc = Edge(cur.parent.v, cur.v, cur.parentLabel) :: acc
-      cur = cur.parent
-    }
-    acc
-  }
-
   /** State-size metric: total tree nodes resident. */
-  def stateSize: Long = trees.valuesIterator.map(_.nodes.size.toLong).sum
+  override def stateSize: Long = forest.stateSize
 }

@@ -1,0 +1,131 @@
+package repro.physical
+
+import repro.core.Dfa
+import repro.core.Model.{Edge, Sgt}
+import scala.collection.mutable
+
+/** The window content of the negative-tuple PATH operators
+  * ([[NtPathNode]], [[DdPathNode]]): a counted edge multiset plus
+  * forward/reverse adjacency over the distinct edges present. `insert`
+  * and `delete` report whether the distinct graph changed; duplicates
+  * only move a count.
+  *
+  * [[SPathNode]] keeps its own adjacency: it coalesces duplicates on max
+  * expiry instead of counting them, and expires entries by timestamp.
+  */
+final class WindowGraph(dfa: Dfa) {
+  private val edgeCounts = mutable.HashMap.empty[(Long, Long, String), Int]
+  private val fwd = mutable.HashMap.empty[Long, mutable.HashSet[(Long, String)]]
+  private val rev = mutable.HashMap.empty[Long, mutable.HashSet[(Long, String)]]
+
+  def insert(t: Sgt): Boolean = {
+    val k = (t.src, t.trg, t.label)
+    val c = edgeCounts.getOrElse(k, 0) + 1
+    edgeCounts(k) = c
+    if (c > 1) return false
+    fwd.getOrElseUpdate(t.src, mutable.HashSet.empty) += ((t.trg, t.label))
+    rev.getOrElseUpdate(t.trg, mutable.HashSet.empty) += ((t.src, t.label))
+    true
+  }
+
+  def delete(t: Sgt): Boolean = {
+    val k = (t.src, t.trg, t.label)
+    val c = edgeCounts.getOrElse(k, 0) - 1
+    require(c >= 0, s"negative tuple for absent edge $k")
+    if (c > 0) { edgeCounts(k) = c; return false }
+    edgeCounts.remove(k)
+    fwd.get(t.src).foreach(_ -= ((t.trg, t.label)))
+    rev.get(t.trg).foreach(_ -= ((t.src, t.label)))
+    true
+  }
+
+  def contains(e: Edge): Boolean = edgeCounts.contains((e.src, e.trg, e.label))
+
+  /** `(w, q, label)` for every edge `v -label-> w` with `δ(s, label) = q`. */
+  def successors(v: Long, s: Int): Iterator[(Long, Int, String)] =
+    fwd.get(v).iterator.flatten.flatMap { case (w, l) => dfa.delta(s, l).map((w, _, l)) }
+
+  /** `(u, label)` for every edge `u -label-> v`. */
+  def inEdges(v: Long): Iterator[(Long, String)] = rev.get(v).iterator.flatten
+}
+
+/** A Δ-PATH spanning-tree node `(v, s)` (Def. 22): its parent, the graph
+  * edge that derives it from the parent, and its children.
+  */
+abstract class TreeNode[N <: TreeNode[N]](val v: Long, val s: Int) { self: N =>
+  var parent: N = _
+  var parentEdge: Edge = _
+  val children = mutable.HashSet.empty[N]
+
+  /** Move this node under `p`, derived through a `label` edge. */
+  def attach(p: N, label: String): Unit = {
+    if (parent != null) parent.children -= this
+    parent = p; parentEdge = Edge(p.v, v, label)
+    p.children += this
+  }
+
+  /** The path from the root, following parent pointers (cost O(length)). */
+  def path: List[Edge] = {
+    var cur: N = this
+    var acc = List.empty[Edge]
+    while (cur.parent != null) { acc = cur.parentEdge :: acc; cur = cur.parent }
+    acc
+  }
+}
+
+/** A spanning tree of parent-pointer nodes, indexed by `(v, s)`. */
+final class SpanningTree[N <: TreeNode[N]](val root: N) extends PathForest.Tree {
+  val nodes = mutable.HashMap[(Long, Int), N]((root.v, root.s) -> root)
+  def rootV: Long = root.v
+  def size: Int = nodes.size
+}
+
+/** Δ-PATH (Def. 22) shared by the three PATH operators: one tree per
+  * root vertex, created when an edge leaves the root in the DFA's start
+  * state, and a hash-based inverted index from `(vertex, state)` to the
+  * trees holding it. Generic over each operator's tree type; the
+  * operator maintains tree contents and keeps the index in step.
+  */
+final class PathForest[T <: PathForest.Tree](dfa: Dfa, newTree: Long => T) {
+  val trees = mutable.HashMap.empty[Long, T]
+  private val inverted = mutable.HashMap.empty[(Long, Int), mutable.HashSet[T]]
+
+  /** Trees holding `(v, s)`, copied so callers may update the index. */
+  def treesWith(v: Long, s: Int): List[T] = inverted.get((v, s)).fold(List.empty[T])(_.toList)
+
+  /** [[treesWith]], after creating `v`'s tree if `s` is the start state
+    * (the trees an edge out of `v` can expand, Alg. S-PATH line 7).
+    */
+  def treesFrom(v: Long, s: Int): List[T] = {
+    if (s == dfa.start && !trees.contains(v)) {
+      val tree = newTree(v)
+      trees(v) = tree
+      index(v, s, tree)
+    }
+    treesWith(v, s)
+  }
+
+  def index(v: Long, s: Int, tree: T): Unit =
+    inverted.getOrElseUpdate((v, s), mutable.HashSet.empty) += tree
+
+  def unindex(v: Long, s: Int, tree: T): Unit =
+    inverted.get((v, s)).foreach { set =>
+      set -= tree
+      if (set.isEmpty) inverted.remove((v, s))
+    }
+
+  def removeTree(tree: T): Unit = {
+    trees.remove(tree.rootV)
+    unindex(tree.rootV, dfa.start, tree)
+  }
+
+  /** State-size metric: total tree nodes resident. */
+  def stateSize: Long = trees.valuesIterator.map(_.size.toLong).sum
+}
+
+object PathForest {
+  trait Tree {
+    def rootV: Long
+    def size: Int
+  }
+}

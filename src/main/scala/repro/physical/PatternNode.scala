@@ -48,8 +48,7 @@ final class PatternNode(p: SgaExpr.Pattern, mode: Mode) extends Node {
   private val rightTables =
     Array.fill(n)(mutable.HashMap.empty[Vector[Long], mutable.ArrayBuffer[PartialTuple]])
 
-  private val coalescer = new Coalescer
-  private val counting  = new CountingDistinct
+  private val distinct = SetSemantics(mode)
 
   /** Join key extractors for level `i`: earlier-side positions and
     * input-i-side positions, aligned pairwise.
@@ -129,13 +128,7 @@ final class PatternNode(p: SgaExpr.Pattern, mode: Mode) extends Node {
     val trg = pt.bind(posIdx(p.outTrg))
     // Payload of a PATTERN result is the derived edge itself (Def. 19).
     val out = Sgt(src, trg, p.label, pt.ts, pt.exp, List(Edge(src, trg, p.label)))
-    mode match {
-      case Mode.Direct =>
-        require(sign == 1, "direct mode never processes deletions")
-        coalescer.offer(out).foreach(o => emit(Delta(o, 1)))
-      case _ =>
-        counting.offer(Delta(out, sign)).foreach(emit)
-    }
+    distinct.offer(Delta(out, sign)).foreach(emit)
   }
 
   private def removeOne(
@@ -156,10 +149,10 @@ final class PatternNode(p: SgaExpr.Pattern, mode: Mode) extends Node {
         t.filterInPlace((_, buf) => buf.nonEmpty)
       }
     purge(leftTables); purge(rightTables)
-    coalescer.purge(now)
+    distinct.purge(now)
   }
 
   /** Total tuples resident across all hash tables (state-size metric). */
-  def stateSize: Long =
+  override def stateSize: Long =
     (leftTables ++ rightTables).map(_.valuesIterator.map(_.size.toLong).sum).sum
 }

@@ -29,7 +29,7 @@ object PhysicalExec {
           wire(compile(in), n, 0)
           n
         case SgaExpr.Union(ins, d) =>
-          val n = new UnionNode(d, mode)
+          val n = new UnionNode(d, SetSemantics(mode))
           ins.zipWithIndex.foreach { case (c, i) => wire(compile(c), n, i) }
           n
         case p: SgaExpr.Pattern =>
@@ -87,11 +87,5 @@ final class Dataflow(val root: Node, val sources: List[WscanNode], val nodes: Li
   def drain(): Seq[Delta] = { val r = out.toList; out.clear(); r }
 
   /** Total operator state (tuples/tree nodes) across stateful nodes. */
-  def stateSize: Long = nodes.map {
-    case p: PatternNode => p.stateSize
-    case s: SPathNode   => s.stateSize
-    case n: NtPathNode  => n.stateSize
-    case d: DdPathNode  => d.stateSize
-    case _              => 0L
-  }.sum
+  def stateSize: Long = nodes.iterator.map(_.stateSize).sum
 }

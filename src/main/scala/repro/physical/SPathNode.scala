@@ -1,7 +1,7 @@
 package repro.physical
 
 import repro.core.{Dfa, Regex}
-import repro.core.Model.{Edge, Sgt}
+import repro.core.Model.Sgt
 import scala.collection.mutable
 
 /** PATH (Def. 20) via the paper's S-PATH algorithm (§6.2) — the *direct*
@@ -25,26 +25,21 @@ import scala.collection.mutable
 final class SPathNode(regex: Regex, outLabel: String) extends Node {
   val dfa: Dfa = Dfa.fromRegex(regex)
 
-  private final class TNode(val v: Long, val s: Int) {
-    var parent: TNode = _
-    var parentEdge: Edge = _
+  private final class TNode(v: Long, s: Int) extends TreeNode[TNode](v, s) {
     var ts: Long = 0L
     var exp: Long = 0L
-    val children = mutable.HashSet.empty[TNode]
   }
-
-  private final class Tree(val rootV: Long) {
-    val root = new TNode(rootV, dfa.start)
-    root.ts = 0L; root.exp = Long.MaxValue
-    val nodes = mutable.HashMap[(Long, Int), TNode]((rootV, dfa.start) -> root)
-  }
+  private type Tree = SpanningTree[TNode]
 
   private final class EdgeRec(var ts: Long, var exp: Long)
 
   // Windowed adjacency: src -> (trg, label) -> validity.
   private val adjacency = mutable.HashMap.empty[Long, mutable.HashMap[(Long, String), EdgeRec]]
-  private val trees     = mutable.HashMap.empty[Long, Tree]
-  private val inverted  = mutable.HashMap.empty[(Long, Int), mutable.HashSet[Tree]]
+  private val forest = new PathForest[Tree](dfa, rootV => {
+    val root = new TNode(rootV, dfa.start)
+    root.exp = Long.MaxValue
+    new SpanningTree(root)
+  })
   private val coalescer = new Coalescer
 
   /** Operator metrics: traversal steps performed (Expand+Propagate). */
@@ -60,17 +55,10 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
     if (t.ts < rec.ts) rec.ts = t.ts
 
     // 2. Alg. S-PATH main loop: for every DFA transition on this label.
-    for ((s, q) <- dfa.transitionsOn(t.label)) {
-      if (s == dfa.start && !trees.contains(t.src)) {
-        val tree = new Tree(t.src)
-        trees(t.src) = tree
-        inverted.getOrElseUpdate((t.src, dfa.start), mutable.HashSet.empty) += tree
-      }
-      for (tree <- inverted.getOrElse((t.src, s), mutable.HashSet.empty).toList) {
-        val un = tree.nodes((t.src, s))
-        if (un.exp > t.ts) // ExpandableTrees: ignore expired segments
-          process(tree, un, t.trg, q, t.ts, t.exp, t.label, now = t.ts)
-      }
+    for ((s, q) <- dfa.transitionsOn(t.label); tree <- forest.treesFrom(t.src, s)) {
+      val un = tree.nodes((t.src, s))
+      if (un.exp > t.ts) // ExpandableTrees: ignore expired segments
+        process(tree, un, t.trg, q, t.ts, t.exp, t.label, now = t.ts)
     }
   }
 
@@ -87,22 +75,17 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
         case None => // Alg. Expand: new leaf under `parent`.
           if (candTs < candExp) {
             val node = new TNode(v, s)
-            node.parent = parent; node.parentEdge = Edge(parent.v, v, lbl)
+            node.attach(parent, lbl)
             node.ts = candTs; node.exp = candExp
-            parent.children += node
             tree.nodes((v, s)) = node
-            inverted.getOrElseUpdate((v, s), mutable.HashSet.empty) += tree
+            forest.index(v, s, tree)
             if (dfa.finals.contains(s)) emitResult(tree, node)
             pushNeighbours(tree, node, stack, now)
           }
         case Some(node) if node.exp < candExp => // Alg. Propagate: better segment.
           val structural = (node.parent ne parent) ||
             node.parentEdge.src != parent.v || node.parentEdge.label != lbl
-          if (structural) {
-            node.parent.children -= node
-            node.parent = parent; node.parentEdge = Edge(parent.v, v, lbl)
-            parent.children += node
-          }
+          if (structural) node.attach(parent, lbl)
           node.ts = math.min(node.ts, candTs)
           node.exp = candExp
           // Pure interval refreshes re-report the same path: emit the
@@ -133,17 +116,9 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
     }
 
   private def emitResult(tree: Tree, node: TNode, withPath: Boolean = true): Unit = {
-    val path = if (withPath) materialize(node) else Nil
+    val path = if (withPath) node.path else Nil
     val out  = Sgt(tree.rootV, node.v, outLabel, node.ts, node.exp, path)
-    coalescer.offer(out).foreach(o => emit(Delta(o, 1)))
-  }
-
-  /** Materialize the path by following parent pointers (cost O(len)). */
-  private def materialize(node: TNode): List[Edge] = {
-    var cur = node
-    var acc = List.empty[Edge]
-    while (cur.parent != null) { acc = cur.parentEdge :: acc; cur = cur.parent }
-    acc
+    coalescer.offer(Delta(out, 1)).foreach(emit)
   }
 
   /** Direct window maintenance: drop expired tree nodes (child expiry
@@ -152,7 +127,7 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
     * is needed — this is the point of the direct approach.
     */
   override def advance(now: Long): Unit = {
-    for ((rootV, tree) <- trees.toList) {
+    for (tree <- forest.trees.values.toList) {
       val stack = mutable.Stack.empty[TNode]
       stack.pushAll(tree.root.children)
       while (stack.nonEmpty) {
@@ -160,10 +135,7 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
         if (n.exp <= now) dropSubtree(tree, n)
         else stack.pushAll(n.children)
       }
-      if (tree.root.children.isEmpty) {
-        trees.remove(rootV)
-        detachFromInverted(tree, tree.root)
-      }
+      if (tree.root.children.isEmpty) forest.removeTree(tree)
     }
     for ((src, m) <- adjacency.toList) {
       m.filterInPlace((_, rec) => rec.exp > now)
@@ -178,18 +150,12 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
     while (stack.nonEmpty) {
       val m = stack.pop()
       tree.nodes.remove((m.v, m.s))
-      detachFromInverted(tree, m)
+      forest.unindex(m.v, m.s, tree)
       stack.pushAll(m.children)
       m.children.clear()
     }
   }
 
-  private def detachFromInverted(tree: Tree, m: TNode): Unit =
-    inverted.get((m.v, m.s)).foreach { set =>
-      set -= tree
-      if (set.isEmpty) inverted.remove((m.v, m.s))
-    }
-
   /** State-size metric: total tree nodes resident in Δ-PATH. */
-  def stateSize: Long = trees.valuesIterator.map(_.nodes.size.toLong).sum
+  override def stateSize: Long = forest.stateSize
 }

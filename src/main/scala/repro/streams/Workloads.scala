@@ -100,24 +100,12 @@ object Workloads {
   def q4Plans(bind: Binding, windowSize: Long, slide: Long): Map[String, SgaExpr] = {
     val Binding(a, b, c) = bind
     def wa = w(a, windowSize, slide); def wb = w(b, windowSize, slide); def wc = w(c, windowSize, slide)
-    def chain2(x: SgaExpr, y: SgaExpr, d: String) =
-      SgaExpr.Pattern(List(x, y), List((SgaExpr.trg(0), SgaExpr.src(1))),
-                      SgaExpr.src(0), SgaExpr.trg(1), d)
     Map(
       "SGA" -> expr("Q4", bind, windowSize, slide),
       "P1"  -> SgaExpr.Path(List(wa, wb, wc), Plus(Regex.concat(Lbl(a), Lbl(b), Lbl(c))), "Answer"),
-      "P2"  -> SgaExpr.Path(List(wa, chain2(wb, wc, "d")), Plus(Regex.concat(Lbl(a), Lbl("d"))), "Answer"),
-      "P3"  -> SgaExpr.Path(List(chain2(wa, wb, "d"), wc), Plus(Regex.concat(Lbl("d"), Lbl(c))), "Answer"))
+      "P2"  -> SgaExpr.Path(List(wa, SgaExpr.chain(List(wb, wc), "d")), Plus(Regex.concat(Lbl(a), Lbl("d"))), "Answer"),
+      "P3"  -> SgaExpr.Path(List(SgaExpr.chain(List(wa, wb), "d"), wc), Plus(Regex.concat(Lbl("d"), Lbl(c))), "Answer"))
   }
-
-  /** Left-to-right chain join `in_1 ⋈_{trg=src} in_2 ⋈ …` (rule
-    * "Concatenation" of §5.4).
-    */
-  private def chain(d: String, ins: SgaExpr*): SgaExpr =
-    SgaExpr.Pattern(
-      ins.toList,
-      (0 until ins.size - 1).map(i => (SgaExpr.trg(i), SgaExpr.src(i + 1))).toList,
-      SgaExpr.src(0), SgaExpr.trg(ins.size - 1), d)
 
   /** Alternative plan for Q2 (paper Fig. 9a): pull the concatenation out
     * of PATH. Since all layers match non-empty paths,
@@ -127,7 +115,7 @@ object Workloads {
     val Binding(a, b, _) = bind
     def wa = w(a, windowSize, slide)
     val bp = SgaExpr.Path(List(w(b, windowSize, slide)), Plus(Lbl(b)), "bp")
-    SgaExpr.Union(List(wa, chain("abp", wa, bp)), "Answer")
+    SgaExpr.Union(List(wa, SgaExpr.chain(List(wa, bp), "abp")), "Answer")
   }
 
   /** Alternative plan for Q3 (paper Fig. 9b):
@@ -140,8 +128,8 @@ object Workloads {
     def cp = SgaExpr.Path(List(w(c, windowSize, slide)), Plus(Lbl(c)), "cp")
     SgaExpr.Union(List(
       wa,
-      chain("abp", wa, bp),
-      chain("acp", wa, cp),
-      chain("abcp", wa, bp, cp)), "Answer")
+      SgaExpr.chain(List(wa, bp), "abp"),
+      SgaExpr.chain(List(wa, cp), "acp"),
+      SgaExpr.chain(List(wa, bp, cp), "abcp")), "Answer")
   }
 }

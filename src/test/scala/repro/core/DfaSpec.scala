@@ -53,6 +53,11 @@ class DfaSpec extends AnyFunSuite with PropertyChecks {
     val dfa = Dfa.fromRegex(Regex.parse("a b*"))
     for ((s, t) <- dfa.transitionsOn("a")) assert(dfa.delta(s, "a").contains(t))
     assert(dfa.transitionsOn("c").isEmpty)
+    // The reverse lookup is the exact inverse: δ(s, l) = t iff s ∈ sourcesInto(l, t).
+    for (l <- dfa.alphabet + "c"; t <- 0 until dfa.nStates)
+      assert(dfa.sourcesInto(l, t).toSet ==
+        (0 until dfa.nStates).filter(s => dfa.delta(s, l).contains(t)).toSet, s"($l, $t)")
+    assert(dfa.sourcesInto("b", dfa.delta(dfa.start, "a").flatMap(dfa.delta(_, "b")).get).size == 2)
   }
 
   test("start state is 0 and deterministic") {

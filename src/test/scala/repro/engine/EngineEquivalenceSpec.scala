@@ -63,6 +63,30 @@ class EngineEquivalenceSpec extends AnyFunSuite {
     assertEquivalent(Workloads.expr("Q1", binding, window, slide), stream, "Q1/dense")
   }
 
+  test("repeated edges and self-loops within one slide (counted window multiset)") {
+    // Every slide holds each of its edges twice, self-loops included, and
+    // 1→2 and 2→2 recur in every slide — so an expiring copy leaves
+    // younger copies of the same edge in the window. 3→1 closes a cycle
+    // only every third slide.
+    val stream = (0L until 10L).flatMap { k =>
+      val ts = k * slide
+      val edges = Seq(Sge(1, 2, "a", ts), Sge(2, 2, "a", ts), Sge(2, 3, "b", ts + 1),
+                      Sge(3, 3, "b", ts + 1), Sge(3, 3, "c", ts + 2)) ++
+        (if (k % 3 == 0) Seq(Sge(3, 1, "a", ts + 2)) else Nil)
+      edges ++ edges
+    }.toVector.sortBy(_.ts)
+    for (q <- Seq("Q1", "Q2", "Q3", "Q4"))
+      assertEquivalent(Workloads.expr(q, binding, window, slide), stream, s"$q/repeats")
+  }
+
+  test("engine rejects input that is not ts-ordered") {
+    val stream = Vector(Sge(1, 2, "a", 0), Sge(2, 3, "a", 5), Sge(3, 1, "a", 4))
+    val err = intercept[IllegalArgumentException] {
+      Engine.run(Workloads.expr("Q1", binding, window, slide), Mode.Direct, stream, slide)
+    }
+    assert(err.getMessage.contains("sge 2 has ts 4 < ts 5 of sge 1"), err.getMessage)
+  }
+
   test("Q4 plan variants all agree with brute force (plan-space soundness, §7.4)") {
     val stream = randomStream(11, nVertices = 8, nEdges = 120)
     for ((name, plan) <- Workloads.q4Plans(binding, window, slide))
