@@ -82,9 +82,14 @@ object SetSemantics {
   * in-order streams (which `Engine.runOn` enforces): a later result for
   * the same key never starts earlier than an already-emitted one with a
   * larger expiry.
+  *
+  * A key's expiry only grows while it is resident, so each key is
+  * scheduled once in an [[ExpiryWheel]] and `purge` re-checks only the
+  * keys whose bucket came due: an extended key moves to its new expiry.
   */
 final class Coalescer extends SetSemantics {
-  private val state = mutable.HashMap.empty[(Long, Long, String), (Long, Long)]
+  private val state  = mutable.HashMap.empty[(Long, Long, String), (Long, Long)]
+  private val expiry = new ExpiryWheel[(Long, Long, String)]
 
   def offer(d: Delta): Option[Delta] = {
     require(d.sign == 1, "direct mode never processes deletions")
@@ -95,13 +100,18 @@ final class Coalescer extends SetSemantics {
         val merged = (math.min(ts0, t.ts), t.exp)
         state(t.key) = merged
         Some(Delta(t.copy(ts = merged._1), 1))
-      case _ =>
+      case old =>
         state(t.key) = (t.ts, t.exp)
+        if (old.isEmpty) expiry.schedule(t.exp, t.key)
         Some(d)
     }
   }
 
-  override def purge(now: Long): Unit = state.filterInPlace { case (_, (_, exp)) => exp > now }
+  override def purge(now: Long): Unit =
+    for (k <- expiry.due(now)) {
+      val exp = state(k)._2
+      if (exp > now) expiry.schedule(exp, k) else state.remove(k)
+    }
 }
 
 /** Counting-based DISTINCT (classical Counting IVM [35]) for the
@@ -131,7 +141,7 @@ final class CountingDistinct extends SetSemantics {
   */
 final class WscanNode(val w: SgaExpr.Wscan, mode: Mode) extends Node {
   val label: String = w.label
-  private val pending = mutable.TreeMap.empty[Long, mutable.ArrayBuffer[Sgt]] // exp -> tuples
+  private val pending = new ExpiryWheel[Sgt] // NT mode: deletions by window expiry
 
   override def receive(d: Delta, slot: Int): Unit = {
     require(d.sign == 1, "WSCAN receives only source insertions")
@@ -145,16 +155,14 @@ final class WscanNode(val w: SgaExpr.Wscan, mode: Mode) extends Node {
         // indistinguishable from its insertion, so intervals are vacuous
         // (`[0, ∞)`); the real expiry drives the deletion schedule below.
         val t = e.copy(ts = 0L, exp = Long.MaxValue, path = List(Edge(e.src, e.trg, e.label)))
-        pending.getOrElseUpdate(exp, mutable.ArrayBuffer.empty) += t
+        pending.schedule(exp, t)
         emit(Delta(t, 1))
     }
   }
 
   override def advance(now: Long): Unit = mode match {
     case Mode.Direct => ()
-    case _ =>
-      val expired = pending.rangeTo(now).toList
-      for ((exp, ts) <- expired) { pending.remove(exp); ts.foreach(t => emit(Delta(t, -1))) }
+    case _           => pending.due(now).foreach(t => emit(Delta(t, -1)))
   }
 }
 

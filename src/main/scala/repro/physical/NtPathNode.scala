@@ -39,8 +39,8 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
   private def insert(t: Sgt): Unit =
     if (graph.insert(t)) // duplicates leave the distinct graph unchanged
       for ((s, q) <- dfa.transitionsOn(t.label); tree <- forest.treesFrom(t.src, s)) {
-        val parent = tree.nodes((t.src, s))
-        if (!tree.nodes.contains((t.trg, q))) expand(tree, parent, t.trg, q, t.label)
+        val parent = tree(t.src, s)
+        if (!tree.contains(t.trg, q)) expand(tree, parent, t.trg, q, t.label)
       }
 
   /** BFS expansion of newly reachable `(vertex, state)` nodes. */
@@ -48,14 +48,14 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
     val queue = mutable.Queue((parent0, v0, s0, l0))
     while (queue.nonEmpty) {
       val (parent, v, s, l) = queue.dequeue()
-      if (!tree.nodes.contains((v, s))) {
+      if (!tree.contains(v, s)) {
         rederivationSteps += 1
         val node = new TNode(v, s)
         node.attach(parent, l)
-        tree.nodes((v, s)) = node
+        tree.add(node)
         forest.index(v, s, tree)
         if (dfa.finals.contains(s)) emitDelta(tree, node, +1)
-        for ((w, q, lbl) <- graph.successors(v, s) if !tree.nodes.contains((w, q)))
+        for ((w, q, lbl) <- graph.successors(v, s) if !tree.contains(w, q))
           queue.enqueue((node, w, q, lbl))
       }
     }
@@ -67,7 +67,7 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
   private def delete(t: Sgt): Unit =
     if (graph.delete(t))
       for ((s, q) <- dfa.transitionsOn(t.label); tree <- forest.treesWith(t.src, s)) {
-        (tree.nodes.get((t.src, s)), tree.nodes.get((t.trg, q))) match {
+        (tree.get(t.src, s), tree.get(t.trg, q)) match {
           case (Some(p), Some(ch)) if (ch.parent eq p) && ch.parentEdge.label == t.label =>
             rederive(tree, ch)
           case _ => ()
@@ -116,7 +116,7 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
         queue.enqueue(d)
         sub.pushAll(d.children.filter(c => c.marked && supported(c)))
       }
-      for ((w, q, lbl) <- graph.successors(n.v, n.s)) tree.nodes.get((w, q)) match {
+      for ((w, q, lbl) <- graph.successors(n.v, n.s)) tree.get(w, q) match {
         case Some(m) if m.marked => reattach(m, n, lbl); queue.enqueue(m)
         case _                   => ()
       }
@@ -124,7 +124,7 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
 
     // (iv) remove what is still marked; retract its results.
     for (m <- marked if m.marked) {
-      tree.nodes.remove((m.v, m.s))
+      tree.remove(m)
       m.parent.children -= m
       forest.unindex(m.v, m.s, tree)
       if (dfa.finals.contains(m.s)) emitDelta(tree, m, -1)
@@ -138,7 +138,7 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
     for ((u, lbl) <- graph.inEdges(m.v)) {
       rederivationSteps += 1
       for (s <- dfa.sourcesInto(lbl, m.s)) {
-        tree.nodes.get((u, s)) match {
+        tree.get(u, s) match {
           case Some(p) if !p.marked && (p ne m) => return Some((p, lbl))
           case _                                => ()
         }

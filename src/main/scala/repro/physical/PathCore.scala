@@ -75,9 +75,15 @@ abstract class TreeNode[N <: TreeNode[N]](val v: Long, val s: Int) { self: N =>
 
 /** A spanning tree of parent-pointer nodes, indexed by `(v, s)`. */
 final class SpanningTree[N <: TreeNode[N]](val root: N) extends PathForest.Tree {
-  val nodes = mutable.HashMap[(Long, Int), N]((root.v, root.s) -> root)
+  private val nodes = mutable.LongMap(PathForest.key(root.v, root.s) -> root)
   def rootV: Long = root.v
   def size: Int = nodes.size
+
+  def apply(v: Long, s: Int): N = nodes(PathForest.key(v, s))
+  def get(v: Long, s: Int): Option[N] = nodes.get(PathForest.key(v, s))
+  def contains(v: Long, s: Int): Boolean = nodes.contains(PathForest.key(v, s))
+  def add(n: N): Unit = nodes(PathForest.key(n.v, n.s)) = n
+  def remove(n: N): Unit = nodes.remove(PathForest.key(n.v, n.s))
 }
 
 /** Δ-PATH (Def. 22) shared by the three PATH operators: one tree per
@@ -87,11 +93,14 @@ final class SpanningTree[N <: TreeNode[N]](val root: N) extends PathForest.Tree 
   * operator maintains tree contents and keeps the index in step.
   */
 final class PathForest[T <: PathForest.Tree](dfa: Dfa, newTree: Long => T) {
+  require(dfa.nStates <= PathForest.MaxStates, s"DFA has ${dfa.nStates} states, at most ${PathForest.MaxStates} fit a key")
+
   val trees = mutable.HashMap.empty[Long, T]
-  private val inverted = mutable.HashMap.empty[(Long, Int), mutable.HashSet[T]]
+  private val inverted = mutable.LongMap.empty[mutable.HashSet[T]]
 
   /** Trees holding `(v, s)`, copied so callers may update the index. */
-  def treesWith(v: Long, s: Int): List[T] = inverted.get((v, s)).fold(List.empty[T])(_.toList)
+  def treesWith(v: Long, s: Int): List[T] =
+    inverted.get(PathForest.key(v, s)).fold(List.empty[T])(_.toList)
 
   /** [[treesWith]], after creating `v`'s tree if `s` is the start state
     * (the trees an edge out of `v` can expand, Alg. S-PATH line 7).
@@ -106,13 +115,15 @@ final class PathForest[T <: PathForest.Tree](dfa: Dfa, newTree: Long => T) {
   }
 
   def index(v: Long, s: Int, tree: T): Unit =
-    inverted.getOrElseUpdate((v, s), mutable.HashSet.empty) += tree
+    inverted.getOrElseUpdate(PathForest.key(v, s), mutable.HashSet.empty) += tree
 
-  def unindex(v: Long, s: Int, tree: T): Unit =
-    inverted.get((v, s)).foreach { set =>
+  def unindex(v: Long, s: Int, tree: T): Unit = {
+    val k = PathForest.key(v, s)
+    inverted.get(k).foreach { set =>
       set -= tree
-      if (set.isEmpty) inverted.remove((v, s))
+      if (set.isEmpty) inverted.remove(k)
     }
+  }
 
   def removeTree(tree: T): Unit = {
     trees.remove(tree.rootV)
@@ -127,5 +138,16 @@ object PathForest {
   trait Tree {
     def rootV: Long
     def size: Int
+  }
+
+  private val StateBits = 16
+  private val MaxStates = 1 << StateBits
+
+  /** `(vertex, state)` packed into one unboxed key: the vertex in the
+    * high 48 bits (signed), the DFA state in the low 16.
+    */
+  def key(v: Long, s: Int): Long = {
+    require((v << StateBits >> StateBits) == v, s"vertex id $v does not fit in ${64 - StateBits} bits")
+    (v << StateBits) | s
   }
 }

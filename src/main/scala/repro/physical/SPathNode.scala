@@ -21,26 +21,36 @@ import scala.collection.mutable
   * *largest expiry* among all equivalent segments (coalesce with
   * `f_agg = max` over expiry, Def. 21); parent pointers materialize the
   * actual path, making paths first-class citizens of the output.
+  *
+  * Tree nodes and adjacency entries sit in [[ExpiryWheel]]s, scheduled
+  * at the expiry they were created with; Propagate and duplicate edges
+  * only ever raise an expiry, so `advance` re-checks exactly the entries
+  * whose bucket came due.
   */
 final class SPathNode(regex: Regex, outLabel: String) extends Node {
   val dfa: Dfa = Dfa.fromRegex(regex)
 
-  private final class TNode(v: Long, s: Int) extends TreeNode[TNode](v, s) {
+  /** A tree node; `tree` is null for roots, which never expire. A node
+    * dropped from its tree has no parent.
+    */
+  private final class TNode(v: Long, s: Int, val tree: Tree) extends TreeNode[TNode](v, s) {
     var ts: Long = 0L
     var exp: Long = 0L
   }
   private type Tree = SpanningTree[TNode]
 
-  private final class EdgeRec(var ts: Long, var exp: Long)
+  private final class EdgeRec(val src: Long, val out: (Long, String), var ts: Long, var exp: Long)
 
   // Windowed adjacency: src -> (trg, label) -> validity.
   private val adjacency = mutable.HashMap.empty[Long, mutable.HashMap[(Long, String), EdgeRec]]
   private val forest = new PathForest[Tree](dfa, rootV => {
-    val root = new TNode(rootV, dfa.start)
+    val root = new TNode(rootV, dfa.start, null)
     root.exp = Long.MaxValue
     new SpanningTree(root)
   })
-  private val coalescer = new Coalescer
+  private val coalescer  = new Coalescer
+  private val nodeExpiry = new ExpiryWheel[TNode]
+  private val edgeExpiry = new ExpiryWheel[EdgeRec]
 
   /** Operator metrics: traversal steps performed (Expand+Propagate). */
   var traversalSteps: Long = 0L
@@ -49,14 +59,18 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
     require(d.sign == 1, "S-PATH is the direct-approach operator; use NtPathNode for negative tuples")
     val t = d.sgt
     // 1. Maintain the windowed adjacency (coalescing on max expiry).
-    val rec = adjacency.getOrElseUpdate(t.src, mutable.HashMap.empty)
-      .getOrElseUpdate((t.trg, t.label), new EdgeRec(t.ts, t.exp))
+    val out = (t.trg, t.label)
+    val rec = adjacency.getOrElseUpdate(t.src, mutable.HashMap.empty).getOrElseUpdate(out, {
+      val r = new EdgeRec(t.src, out, t.ts, t.exp)
+      edgeExpiry.schedule(t.exp, r)
+      r
+    })
     if (t.exp > rec.exp) rec.exp = t.exp
     if (t.ts < rec.ts) rec.ts = t.ts
 
     // 2. Alg. S-PATH main loop: for every DFA transition on this label.
     for ((s, q) <- dfa.transitionsOn(t.label); tree <- forest.treesFrom(t.src, s)) {
-      val un = tree.nodes((t.src, s))
+      val un = tree(t.src, s)
       if (un.exp > t.ts) // ExpandableTrees: ignore expired segments
         process(tree, un, t.trg, q, t.ts, t.exp, t.label, now = t.ts)
     }
@@ -71,14 +85,15 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
       traversalSteps += 1
       val candTs  = math.max(eTs, parent.ts)
       val candExp = math.min(eExp, parent.exp)
-      tree.nodes.get((v, s)) match {
+      tree.get(v, s) match {
         case None => // Alg. Expand: new leaf under `parent`.
           if (candTs < candExp) {
-            val node = new TNode(v, s)
+            val node = new TNode(v, s, tree)
             node.attach(parent, lbl)
             node.ts = candTs; node.exp = candExp
-            tree.nodes((v, s)) = node
+            tree.add(node)
             forest.index(v, s, tree)
+            nodeExpiry.schedule(candExp, node)
             if (dfa.finals.contains(s)) emitResult(tree, node)
             pushNeighbours(tree, node, stack, now)
           }
@@ -87,7 +102,7 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
             node.parentEdge.src != parent.v || node.parentEdge.label != lbl
           if (structural) node.attach(parent, lbl)
           node.ts = math.min(node.ts, candTs)
-          node.exp = candExp
+          node.exp = candExp // stays in its bucket; advance re-checks it
           // Pure interval refreshes re-report the same path: emit the
           // extension without re-materializing the unchanged payload.
           if (dfa.finals.contains(s)) emitResult(tree, node, withPath = structural)
@@ -108,7 +123,7 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
       if rec.exp > now
       q <- dfa.delta(node.s, lbl)
     } {
-      val worth = tree.nodes.get((w, q)) match {
+      val worth = tree.get(w, q) match {
         case None        => true
         case Some(child) => child.exp < math.min(node.exp, rec.exp)
       }
@@ -121,36 +136,40 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
     coalescer.offer(Delta(out, 1)).foreach(emit)
   }
 
-  /** Direct window maintenance: drop expired tree nodes (child expiry
-    * never exceeds parent expiry, so expired nodes form whole subtrees),
-    * expired adjacency entries and stale result keys. No graph traversal
-    * is needed — this is the point of the direct approach.
+  /** Direct window maintenance: pops the tree nodes and adjacency
+    * entries whose bucket came due. An entry refreshed since it was
+    * scheduled moves to its new expiry. An expired node takes its
+    * subtree with it (child expiry never exceeds parent expiry, so that
+    * subtree has expired too), and a tree whose root loses its last child
+    * goes. No graph traversal is needed — the point of the direct approach.
     */
   override def advance(now: Long): Unit = {
-    for (tree <- forest.trees.values.toList) {
-      val stack = mutable.Stack.empty[TNode]
-      stack.pushAll(tree.root.children)
-      while (stack.nonEmpty) {
-        val n = stack.pop()
-        if (n.exp <= now) dropSubtree(tree, n)
-        else stack.pushAll(n.children)
+    for (n <- nodeExpiry.due(now) if n.parent != null) {
+      if (n.exp > now) nodeExpiry.schedule(n.exp, n)
+      else {
+        dropSubtree(n)
+        if (n.tree.root.children.isEmpty) forest.removeTree(n.tree)
       }
-      if (tree.root.children.isEmpty) forest.removeTree(tree)
     }
-    for ((src, m) <- adjacency.toList) {
-      m.filterInPlace((_, rec) => rec.exp > now)
-      if (m.isEmpty) adjacency.remove(src)
+    for (rec <- edgeExpiry.due(now)) {
+      if (rec.exp > now) edgeExpiry.schedule(rec.exp, rec)
+      else {
+        val m = adjacency(rec.src)
+        m.remove(rec.out)
+        if (m.isEmpty) adjacency.remove(rec.src)
+      }
     }
     coalescer.purge(now)
   }
 
-  private def dropSubtree(tree: Tree, n: TNode): Unit = {
+  private def dropSubtree(n: TNode): Unit = {
     n.parent.children -= n
     val stack = mutable.Stack(n)
     while (stack.nonEmpty) {
       val m = stack.pop()
-      tree.nodes.remove((m.v, m.s))
-      forest.unindex(m.v, m.s, tree)
+      m.tree.remove(m)
+      forest.unindex(m.v, m.s, m.tree)
+      m.parent = null
       stack.pushAll(m.children)
       m.children.clear()
     }

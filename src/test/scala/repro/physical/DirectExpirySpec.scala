@@ -1,0 +1,98 @@
+package repro.physical
+
+import org.scalacheck.{Gen, Prop}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.core.SgaExpr
+import repro.core.Model.Sge
+import repro.engine.Engine
+import repro.streams.Workloads
+import repro.util.{BruteForce, PropertyChecks}
+
+/** Direct-mode expiry on generated streams that stress the expiry
+  * schedule: equal timestamps, windows that are not a multiple of the
+  * slide, slide 1, empty slides and hot vertices. At every slide
+  * boundary the answers equal the brute-force snapshot, and after every
+  * `advance(now)` the resident state is exactly what a brute-force count
+  * of the entries valid past `now` gives.
+  */
+class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
+
+  private final case class Case(stream: Vector[Sge], window: Long, slide: Long)
+
+  private val labels = Seq("a", "b", "c")
+
+  private val genCase: Gen[Case] = for {
+    slide  <- Gen.oneOf(1L, 2L, 3L, 5L)
+    k      <- Gen.choose(1L, 4L)
+    rest   <- Gen.choose(0L, slide - 1)
+    n      <- Gen.choose(0, 40)
+    gaps   <- Gen.listOfN(n, Gen.frequency(6 -> Gen.const(0L), 3 -> Gen.const(1L), 1 -> Gen.choose(2L, 15L)))
+    vertex  = Gen.frequency(3 -> Gen.const(0L), 4 -> Gen.choose(0L, 5L))
+    edges  <- Gen.listOfN(n, Gen.zip(vertex, vertex, Gen.oneOf(labels)))
+  } yield {
+    val ts = gaps.scanLeft(0L)(_ + _).tail
+    Case(edges.zip(ts).map { case ((s, t, l), at) => Sge(s, t, l, at) }.toVector, k * slide + rest, slide)
+  }
+
+  private val binding = Workloads.Binding("a", "b", "c")
+
+  /** Drives `expr` slide by slide like `Engine.runOn`, checking after each
+    * advance that `stateSize` equals `expected(ingested, now)`; then
+    * checks the answers against brute force at every slide boundary.
+    */
+  private def check(q: String, c: Case)(expected: (SgaExpr, Seq[Sge], Long) => Long): Prop = {
+    val expr = Workloads.expr(q, binding, c.window, c.slide)
+    val df   = PhysicalExec.build(expr, Mode.Direct)
+    val in   = c.stream.filter(e => df.relevantLabels(e.label))
+    val last = in.lastOption.fold(0L)(_.ts) + c.window + c.slide
+    var failure = Option.empty[String]
+    var i = 0
+    var now = 0L
+    while (failure.isEmpty && now <= last) {
+      df.advance(now)
+      val want = expected(expr, in.take(i), now)
+      if (df.stateSize != want)
+        failure = Some(s"$q: state ${df.stateSize} after advance($now), brute force $want")
+      while (i < in.size && in(i).ts < now + c.slide) { df.ingest(in(i)); i += 1 }
+      now += c.slide
+    }
+    val run = Engine.run(expr, Mode.Direct, c.stream, c.slide)
+    for (t <- c.slide - 1 to last by c.slide if failure.isEmpty)
+      if (run.snapshotAt(t) != BruteForce.snapshot(expr, c.stream, t))
+        failure = Some(s"$q: answers diverge from brute force at t=$t")
+    Prop(failure.isEmpty) :| s"${failure.getOrElse("")}; $c"
+  }
+
+  /** Tuples of `w` ingested and still valid after `now`. */
+  private def live(w: SgaExpr.Wscan, ingested: Seq[Sge], now: Long): Seq[Sge] =
+    ingested.filter(e => e.label == w.label && w.expiryOf(e.ts) > now)
+
+  test("property: Q1 S-PATH state after each advance is the reachable set of the live window") {
+    checkProp(Prop.forAll(genCase)(c => check("Q1", c) { (expr, ingested, now) =>
+      // Every live tree node (v, 1) of T_r is a pair (r, v) of the
+      // snapshot at `now`; each tree also holds its root.
+      val pairs = BruteForce.snapshot(expr, ingested, now)
+      pairs.size.toLong + pairs.map(_._1).size
+    }))
+  }
+
+  test("property: Q5 PATTERN state after each advance counts the live join prefixes") {
+    checkProp(Prop.forAll(genCase)(c => check("Q5", c) { (expr, ingested, now) =>
+      val p = expr.asInstanceOf[SgaExpr.Pattern]
+      val ins = p.ins.map(in => live(in.asInstanceOf[SgaExpr.Wscan], ingested, now))
+      def at(b: Vector[Sge], pos: SgaExpr.Pos) = if (pos.isSrc) b(pos.input).src else b(pos.input).trg
+      // Level l's left table holds every live combination of inputs
+      // 0 until l that meets their equalities; its right table input l.
+      var prefixes = ins.head.map(Vector(_))
+      var total    = 0L
+      for (l <- 1 until ins.size) {
+        total += prefixes.size + ins(l).size
+        prefixes = for (b <- prefixes; e <- ins(l); ext = b :+ e
+                        if p.equalities.forall { case (x, y) =>
+                          math.max(x.input, y.input) != l || at(ext, x) == at(ext, y) })
+                   yield ext
+      }
+      total
+    }))
+  }
+}

@@ -122,6 +122,63 @@ class PatternNodeSpec extends AnyFunSuite {
     assert(n.stateSize == 0)
   }
 
+  private def chain3: SgaExpr.Pattern =
+    SgaExpr.Pattern(List(w("a"), w("b"), w("c")),
+      List((trg(0), src(1)), (trg(1), src(2))), src(0), trg(2), "d")
+
+  test("a merged prefix older than its key's entries expires on time; younger ones survive") {
+    val (n, sink) = mk(chain3, Mode.Direct)
+    n.receive(Delta(sgt(1, 2, "a", 0, 30), 1), 0)
+    n.receive(Delta(sgt(2, 3, "b", 0, 30), 1), 1) // prefix (1,2,2,3) [0,30) on key 3
+    n.receive(Delta(sgt(5, 2, "a", 1, 10), 1), 0) // prefix (5,2,2,3) [1,10) on key 3
+    assert(n.stateSize == 5)
+    n.advance(10)
+    assert(n.stateSize == 3, "a(5,2) and its prefix expire at 10, before the key's older bucket")
+    n.receive(Delta(sgt(3, 9, "c", 11, 40), 1), 2)
+    assert(sink.map(_.sgt.key).toSet == Set((1L, 9L, "d")))
+    n.advance(30)
+    assert(n.stateSize == 1)
+  }
+
+  test("one advance that passes several expiry buckets purges all of them") {
+    val (n, _) = mk(chain2(), Mode.Direct)
+    n.receive(Delta(sgt(1, 2, "a", 0, 10), 1), 0)
+    n.receive(Delta(sgt(3, 2, "a", 1, 20), 1), 0)
+    n.receive(Delta(sgt(4, 7, "a", 2, 30), 1), 0)
+    n.receive(Delta(sgt(8, 9, "b", 3, 40), 1), 1)
+    assert(n.stateSize == 4)
+    n.advance(35)
+    assert(n.stateSize == 1)
+    n.advance(40)
+    assert(n.stateSize == 0)
+  }
+
+  test("coalescer keeps a key whose interval was extended past its old expiry") {
+    val (n, sink) = mk(chain2(), Mode.Direct)
+    n.receive(Delta(sgt(1, 2, "a", 0, 10), 1), 0)
+    n.receive(Delta(sgt(2, 3, "b", 0, 10), 1), 1) // (1,3) [0,10)
+    n.receive(Delta(sgt(1, 4, "a", 5, 20), 1), 0)
+    n.receive(Delta(sgt(4, 3, "b", 5, 20), 1), 1) // extends (1,3) to [0,20)
+    assert(sink.count(_.sgt.key == (1L, 3L, "d")) == 2)
+    n.advance(10)
+    // Covered by the extended [0,20): suppressed unless the key was purged at 10.
+    n.receive(Delta(sgt(1, 6, "a", 12, 18), 1), 0)
+    n.receive(Delta(sgt(6, 3, "b", 12, 18), 1), 1)
+    assert(sink.count(_.sgt.key == (1L, 3L, "d")) == 2)
+  }
+
+  test("negative-tuple deletion finds its entry among others on the same key") {
+    val (n, sink) = mk(chain2(), Mode.NegativeTuple)
+    def a(s: Long) = sgt(s, 2, "a", 0, Long.MaxValue)
+    Seq(a(1), a(3), a(4)).foreach(t => n.receive(Delta(t, 1), 0))
+    n.receive(Delta(sgt(2, 5, "b", 0, Long.MaxValue), 1), 1)
+    assert(n.stateSize == 4)
+    n.receive(Delta(a(3), -1), 0)
+    assert(n.stateSize == 3)
+    assert(sink.filter(_.sign == -1).map(_.sgt.key).toList == List((3L, 5L, "d")))
+    intercept[IllegalArgumentException](n.receive(Delta(a(3), -1), 0))
+  }
+
   test("negative-tuple mode retracts join results on deletion") {
     val (n, sink) = mk(chain2(), Mode.NegativeTuple)
     val a = sgt(1, 2, "a", 0, Long.MaxValue)

@@ -145,4 +145,32 @@ class SPathSpec extends AnyFunSuite {
     feed(n, sgt(x, y, "RL", 12, 20))
     assert(sink.map(_.sgt.key).toSet == Set((x, y, "RLP")))
   }
+
+  test("a node refreshed by Propagate survives the bucket it was first scheduled in") {
+    val (n, sink) = mkNode()
+    // (u,1) in T_x is created via z expiring at 31, then refreshed to 40 by x→u.
+    feed(n, sgt(x, z, "RL", 20, 31), sgt(z, u, "RL", 21, 31), sgt(x, u, "RL", 25, 40))
+    n.advance(31)
+    sink.clear()
+    feed(n, sgt(u, v, "RL", 32, 50))
+    assert(sink.map(_.sgt.key).toSet == Set((u, v, "RLP"), (x, v, "RLP")))
+    // The refreshed node expires at 40 and takes its new child (v,1) with it.
+    n.advance(40)
+    assert(n.stateSize == 2, "only T_u = {u, (v,1)} remains")
+    sink.clear()
+    feed(n, sgt(v, y, "RL", 41, 60))
+    assert(sink.map(_.sgt.key).toSet == Set((v, y, "RLP"), (u, y, "RLP")))
+  }
+
+  test("a tree whose last child expires is removed and can be rebuilt") {
+    val (n, sink) = mkNode()
+    feed(n, sgt(x, y, "RL", 1, 10))
+    assert(n.stateSize == 2)
+    n.advance(10)
+    assert(n.stateSize == 0)
+    sink.clear()
+    feed(n, sgt(x, y, "RL", 12, 20))
+    assert(sink.map(_.sgt.key).toSet == Set((x, y, "RLP")))
+    assert(n.stateSize == 2)
+  }
 }
