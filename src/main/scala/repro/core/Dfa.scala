@@ -27,6 +27,26 @@ final case class Dfa(
   private val byTarget: Map[(String, Int), Seq[Int]] =
     transitions.toSeq.groupMap { case ((_, l), t) => (l, t) }(_._1._1)
 
+  /** The alphabet in dense-id order: `labels(labelId(l)) == l`. Callers
+    * that store ids may compare these interned strings by reference.
+    */
+  val labels: Array[String] = alphabet.toArray.sorted
+  private val ids: Map[String, Int] = labels.zipWithIndex.toMap
+
+  /** Dense id of `l` in `0 until labels.length`, or −1 outside the alphabet. */
+  def labelId(l: String): Int = ids.getOrElse(l, -1)
+
+  private val table: Array[Int] = {
+    val a = Array.fill(nStates * labels.length)(-1)
+    for (((s, l), t) <- transitions) a(s * labels.length + ids(l)) = t
+    a
+  }
+
+  /** `delta` on a dense label id: the target state, or −1 for none. */
+  def step(s: Int, l: Int): Int = table(s * labels.length + l)
+
+  val isFinal: Array[Boolean] = Array.tabulate(nStates)(finals.contains)
+
   def delta(s: Int, l: String): Option[Int] = transitions.get((s, l))
 
   /** All `(s, t)` state pairs with `δ(s, l) = t` — the probe set of the

@@ -110,9 +110,13 @@ object Engine {
         }
         val deltas = df.drain()
         val nanos  = System.nanoTime() - t0
-        if (keepLog) deltas.foreach(d => log += ((bucketStart, d)))
-        stats += SlideStat(bucketStart, nanos, edges,
-          deltas.count(_.sign == 1), deltas.count(_.sign == -1))
+        var inserts = 0
+        var deletes = 0
+        for (d <- deltas) {
+          if (d.sign == 1) inserts += 1 else deletes += 1
+          if (keepLog) log += ((bucketStart, d))
+        }
+        stats += SlideStat(bucketStart, nanos, edges, inserts, deletes)
         bucketStart = bucketEnd
       }
     }

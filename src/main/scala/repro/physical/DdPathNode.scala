@@ -28,8 +28,9 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
   val dfa: Dfa = Dfa.fromRegex(regex)
 
   private final class Tree(val rootV: Long) extends PathForest.Tree {
-    // Minimal round of each (v, s); the root tuple is round 0 and pinned.
-    val levels = mutable.HashMap[(Long, Int), Int]((rootV, dfa.start) -> 0)
+    // Minimal round of each (v, s), keyed by `PathForest.key(v, s)`; the
+    // root tuple is round 0 and pinned.
+    val levels = mutable.LongMap(PathForest.key(rootV, dfa.start) -> 0)
     def size: Int = levels.size
   }
 
@@ -48,7 +49,7 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
   private def insert(t: Sgt): Unit =
     if (graph.insert(t))
       for ((s, q) <- dfa.transitionsOn(t.label); tree <- forest.treesFrom(t.src, s))
-        relax(tree, t.trg, q, tree.levels((t.src, s)) + 1)
+        relax(tree, t.trg, q, tree.levels(PathForest.key(t.src, s)) + 1)
 
   /** Monotone level-decrease relaxation wave (DD round forward-pass). */
   private def relax(tree: Tree, v0: Long, s0: Int, cand0: Int): Unit = {
@@ -56,13 +57,14 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
     while (queue.nonEmpty) {
       val (v, s, cand) = queue.dequeue()
       stabilizationSteps += 1
-      val cur = tree.levels.get((v, s))
+      val k   = PathForest.key(v, s)
+      val cur = tree.levels.get(k)
       if (cur.forall(_ > cand)) {
         if (cur.isEmpty) {
           forest.index(v, s, tree)
           if (dfa.finals.contains(s)) emitDelta(tree, v, +1)
         }
-        tree.levels((v, s)) = cand
+        tree.levels(k) = cand
         for ((w, q, _) <- graph.successors(v, s)) queue.enqueue((w, q, cand + 1))
       }
     }
@@ -74,7 +76,7 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
   private def delete(t: Sgt): Unit =
     if (graph.delete(t))
       for ((s, q) <- dfa.transitionsOn(t.label); tree <- forest.treesWith(t.src, s)
-           if tree.levels.contains((t.trg, q)))
+           if tree.levels.contains(PathForest.key(t.trg, q)))
         restabilize(tree, t.trg, q)
 
   /** Level-increase repair: recompute a suspect's minimal round from its
@@ -86,8 +88,9 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
     val queue = mutable.Queue((v0, s0))
     while (queue.nonEmpty) {
       val (v, s) = queue.dequeue()
-      if ((v, s) != (tree.rootV, dfa.start)) {
-        tree.levels.get((v, s)) match {
+      val k = PathForest.key(v, s)
+      if (v != tree.rootV || s != dfa.start) {
+        tree.levels.get(k) match {
           case None => ()
           case Some(cur) =>
             // A level is bounded by the number of live tuples; beyond
@@ -96,19 +99,19 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
             var best  = Int.MaxValue
             for ((u, lbl) <- graph.inEdges(v); sp <- dfa.sourcesInto(lbl, s)) {
               stabilizationSteps += 1
-              tree.levels.get((u, sp)) match {
-                case Some(lu) if (u, sp) != ((v, s)) => best = math.min(best, lu + 1)
-                case _                               => ()
+              tree.levels.get(PathForest.key(u, sp)) match {
+                case Some(lu) if u != v || sp != s => best = math.min(best, lu + 1)
+                case _                             => ()
               }
             }
             if (best == cur) ()
             else if (best > bound) { // underivable: retract and cascade
-              tree.levels.remove((v, s))
+              tree.levels.remove(k)
               forest.unindex(v, s, tree)
               if (dfa.finals.contains(s)) emitDelta(tree, v, -1)
               enqueueSuccessors(tree, v, s, queue)
             } else if (best != cur) { // round shifted: re-stabilize successors
-              tree.levels((v, s)) = best
+              tree.levels(k) = best
               enqueueSuccessors(tree, v, s, queue)
             }
         }
@@ -118,7 +121,7 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
 
   private def enqueueSuccessors(tree: Tree, v: Long, s: Int,
                                 queue: mutable.Queue[(Long, Int)]): Unit =
-    for ((w, q, _) <- graph.successors(v, s) if tree.levels.contains((w, q))) {
+    for ((w, q, _) <- graph.successors(v, s) if tree.levels.contains(PathForest.key(w, q))) {
       stabilizationSteps += 1
       queue.enqueue((w, q))
     }

@@ -16,10 +16,19 @@ import scala.collection.mutable
   * due) — expired state is found directly, never by a scan (paper §6.2).
   */
 final class ExpiryWheel[A] {
-  private val buckets = mutable.TreeMap.empty[Long, mutable.ArrayBuffer[A]]
+  // Buckets are found by hash; a min-heap orders their keys.
+  private val buckets = mutable.LongMap.empty[mutable.ArrayBuffer[A]]
+  private val keys    = mutable.PriorityQueue.empty[Long](Ordering.Long.reverse)
 
-  def schedule(exp: Long, item: A): Unit =
-    buckets.getOrElseUpdate(exp, mutable.ArrayBuffer.empty) += item
+  def schedule(exp: Long, item: A): Unit = {
+    var b = buckets.getOrNull(exp)
+    if (b == null) {
+      b = mutable.ArrayBuffer.empty[A]
+      buckets(exp) = b
+      keys += exp
+    }
+    b += item
+  }
 
   /** Removes every bucket keyed at or before `now` and returns its items
     * in expiry order. Items the caller schedules again while iterating
@@ -27,7 +36,7 @@ final class ExpiryWheel[A] {
     */
   def due(now: Long): Iterator[A] = {
     val ready = mutable.ListBuffer.empty[mutable.ArrayBuffer[A]]
-    while (buckets.nonEmpty && buckets.firstKey <= now) ready += buckets.remove(buckets.firstKey).get
+    while (keys.nonEmpty && keys.head <= now) ready += buckets.remove(keys.dequeue()).get
     ready.iterator.flatten
   }
 }

@@ -83,34 +83,51 @@ object SetSemantics {
   * the same key never starts earlier than an already-emitted one with a
   * larger expiry.
   *
+  * Every coalescer serves one operator whose results all carry the same
+  * label (S-PATH's and PATTERN's output label; UNION relabels before it
+  * offers), so it keys results by `(src, trg)` alone: one `LongMap` per
+  * source over unboxed target ids.
+  *
   * A key's expiry only grows while it is resident, so each key is
   * scheduled once in an [[ExpiryWheel]] and `purge` re-checks only the
   * keys whose bucket came due: an extended key moves to its new expiry.
   */
 final class Coalescer extends SetSemantics {
-  private val state  = mutable.HashMap.empty[(Long, Long, String), (Long, Long)]
-  private val expiry = new ExpiryWheel[(Long, Long, String)]
+  private final class Entry(val src: Long, val trg: Long, var ts: Long, var exp: Long)
+
+  private val state  = mutable.LongMap.empty[mutable.LongMap[Entry]]
+  private val expiry = new ExpiryWheel[Entry]
 
   def offer(d: Delta): Option[Delta] = {
     require(d.sign == 1, "direct mode never processes deletions")
-    val t = d.sgt
-    state.get(t.key) match {
-      case Some((_, exp0)) if t.exp <= exp0 => None
-      case Some((ts0, exp0)) if math.max(ts0, t.ts) <= math.min(exp0, t.exp) =>
-        val merged = (math.min(ts0, t.ts), t.exp)
-        state(t.key) = merged
-        Some(Delta(t.copy(ts = merged._1), 1))
-      case old =>
-        state(t.key) = (t.ts, t.exp)
-        if (old.isEmpty) expiry.schedule(t.exp, t.key)
-        Some(d)
+    val t     = d.sgt
+    val bySrc = state.getOrElseUpdate(t.src, mutable.LongMap.empty[Entry])
+    val e     = bySrc.getOrNull(t.trg)
+    if (e == null) {
+      val n = new Entry(t.src, t.trg, t.ts, t.exp)
+      bySrc(t.trg) = n
+      expiry.schedule(t.exp, n)
+      Some(d)
+    } else if (t.exp <= e.exp) None
+    else if (math.max(e.ts, t.ts) <= e.exp) { // overlapping or adjacent: merge
+      e.ts = math.min(e.ts, t.ts)
+      e.exp = t.exp
+      Some(Delta(t.copy(ts = e.ts), 1))
+    } else {
+      e.ts = t.ts
+      e.exp = t.exp
+      Some(d)
     }
   }
 
   override def purge(now: Long): Unit =
-    for (k <- expiry.due(now)) {
-      val exp = state(k)._2
-      if (exp > now) expiry.schedule(exp, k) else state.remove(k)
+    for (e <- expiry.due(now)) {
+      if (e.exp > now) expiry.schedule(e.exp, e)
+      else {
+        val bySrc = state(e.src)
+        bySrc.remove(e.trg)
+        if (bySrc.isEmpty) state.remove(e.src)
+      }
     }
 }
 

@@ -88,7 +88,7 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
       marked += n
       stack.pushAll(n.children)
     }
-    cut.parent.children -= cut
+    cut.detach()
 
     // (iii) initial scan: marked nodes with a valid derivation from an
     // unmarked node re-attach; their subtrees revalidate transitively.
@@ -125,7 +125,7 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
     // (iv) remove what is still marked; retract its results.
     for (m <- marked if m.marked) {
       tree.remove(m)
-      m.parent.children -= m
+      m.detach()
       forest.unindex(m.v, m.s, tree)
       if (dfa.finals.contains(m.s)) emitDelta(tree, m, -1)
     }

@@ -55,13 +55,30 @@ final class WindowGraph(dfa: Dfa) {
 abstract class TreeNode[N <: TreeNode[N]](val v: Long, val s: Int) { self: N =>
   var parent: N = _
   var parentEdge: Edge = _
-  val children = mutable.HashSet.empty[N]
+  /** In no particular order; a child sits at its `slot`. */
+  val children = mutable.ArrayBuffer.empty[N]
+  private var slot = -1
 
   /** Move this node under `p`, derived through a `label` edge. */
   def attach(p: N, label: String): Unit = {
-    if (parent != null) parent.children -= this
+    detach()
     parent = p; parentEdge = Edge(p.v, v, label)
+    slot = p.children.length
     p.children += this
+  }
+
+  /** Take this node out of its parent's children by swap-remove, keeping
+    * its parent pointer; a no-op if it is not among them.
+    */
+  def detach(): Unit = if (parent != null) {
+    val cs = parent.children
+    if (slot >= 0 && slot < cs.length && (cs(slot) eq this)) {
+      val last = cs(cs.length - 1)
+      cs(slot) = last
+      last.slot = slot
+      cs.dropRightInPlace(1)
+    }
+    slot = -1
   }
 
   /** The path from the root, following parent pointers (cost O(length)). */
@@ -81,6 +98,8 @@ final class SpanningTree[N <: TreeNode[N]](val root: N) extends PathForest.Tree 
 
   def apply(v: Long, s: Int): N = nodes(PathForest.key(v, s))
   def get(v: Long, s: Int): Option[N] = nodes.get(PathForest.key(v, s))
+  /** [[get]] without the `Option`: the node, or null. */
+  def getOrNull(v: Long, s: Int): N = nodes.getOrNull(PathForest.key(v, s))
   def contains(v: Long, s: Int): Boolean = nodes.contains(PathForest.key(v, s))
   def add(n: N): Unit = nodes(PathForest.key(n.v, n.s)) = n
   def remove(n: N): Unit = nodes.remove(PathForest.key(n.v, n.s))
@@ -94,6 +113,7 @@ final class SpanningTree[N <: TreeNode[N]](val root: N) extends PathForest.Tree 
   */
 final class PathForest[T <: PathForest.Tree](dfa: Dfa, newTree: Long => T) {
   require(dfa.nStates <= PathForest.MaxStates, s"DFA has ${dfa.nStates} states, at most ${PathForest.MaxStates} fit a key")
+  require(dfa.labels.length <= PathForest.MaxStates, s"DFA has ${dfa.labels.length} labels, at most ${PathForest.MaxStates} fit a key")
 
   val trees = mutable.HashMap.empty[Long, T]
   private val inverted = mutable.LongMap.empty[mutable.HashSet[T]]
@@ -102,16 +122,21 @@ final class PathForest[T <: PathForest.Tree](dfa: Dfa, newTree: Long => T) {
   def treesWith(v: Long, s: Int): List[T] =
     inverted.get(PathForest.key(v, s)).fold(List.empty[T])(_.toList)
 
-  /** [[treesWith]], after creating `v`'s tree if `s` is the start state
-    * (the trees an edge out of `v` can expand, Alg. S-PATH line 7).
+  /** The trees an edge out of `v` can expand from state `s` (Alg. S-PATH
+    * line 7), after creating `v`'s tree if `s` is the start state.
+    *
+    * This is the live index set, not a copy. An insertion may expand the
+    * trees while iterating it: it only adds nodes to a tree of the set,
+    * which already holds `(v, s)`, so the set itself never changes.
+    * Removals (expiry, deletions) must use the copying [[treesWith]].
     */
-  def treesFrom(v: Long, s: Int): List[T] = {
+  def treesFrom(v: Long, s: Int): collection.Set[T] = {
     if (s == dfa.start && !trees.contains(v)) {
       val tree = newTree(v)
       trees(v) = tree
       index(v, s, tree)
     }
-    treesWith(v, s)
+    inverted.getOrElse(PathForest.key(v, s), Set.empty[T])
   }
 
   def index(v: Long, s: Int, tree: T): Unit =
@@ -144,7 +169,8 @@ object PathForest {
   private val MaxStates = 1 << StateBits
 
   /** `(vertex, state)` packed into one unboxed key: the vertex in the
-    * high 48 bits (signed), the DFA state in the low 16.
+    * high 48 bits (signed), the DFA state in the low 16. S-PATH packs
+    * `(vertex, label id)` the same way.
     */
   def key(v: Long, s: Int): Long = {
     require((v << StateBits >> StateBits) == v, s"vertex id $v does not fit in ${64 - StateBits} bits")

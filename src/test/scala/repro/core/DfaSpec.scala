@@ -60,6 +60,27 @@ class DfaSpec extends AnyFunSuite with PropertyChecks {
     assert(dfa.sourcesInto("b", dfa.delta(dfa.start, "a").flatMap(dfa.delta(_, "b")).get).size == 2)
   }
 
+  /** Every regex shape exercised above. */
+  private val shapes: Seq[Regex] = Seq(Lbl("a"), Plus(Lbl("a")), Star(Lbl("a")),
+    Concat(List(Lbl("a"), Lbl("b"), Lbl("c"))), Alt(List(Lbl("a"), Lbl("b")))) ++
+    Seq("a b*", "a b* c*", "(a b c)+", "(a | b c)* a", "(a+ b)+").map(Regex.parse)
+
+  test("dense label ids: step agrees with delta, outside labels map to -1") {
+    for (r <- shapes) {
+      val dfa = Dfa.fromRegex(r)
+      for (l <- alphabet :+ "z") {
+        val id = dfa.labelId(l)
+        if (!dfa.alphabet(l)) assert(id == -1, s"$l outside ${r.render}")
+        else {
+          assert(dfa.labels(id) == l)
+          for (s <- 0 until dfa.nStates)
+            assert(dfa.step(s, id) == dfa.delta(s, l).getOrElse(-1), s"δ($s, $l) of ${r.render}")
+        }
+      }
+      for (s <- 0 until dfa.nStates) assert(dfa.isFinal(s) == dfa.finals(s))
+    }
+  }
+
   test("start state is 0 and deterministic") {
     val dfa = Dfa.fromRegex(Regex.parse("(a b c)+"))
     assert(dfa.start == 0)

@@ -2,15 +2,18 @@ package repro.physical
 
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.SgaExpr
+import repro.core.{Dfa, SgaExpr}
 import repro.core.Model.Sge
 import repro.engine.Engine
 import repro.streams.Workloads
 import repro.util.{BruteForce, PropertyChecks}
+import scala.collection.mutable
 
 /** Direct-mode expiry on generated streams that stress the expiry
   * schedule: equal timestamps, windows that are not a multiple of the
-  * slide, slide 1, empty slides and hot vertices. At every slide
+  * slide, slide 1, empty slides and hot vertices. Q1 (`a+`), Q2 (`a∘b*`)
+  * and Q3 (`a∘b*∘c*`) cover S-PATH with one label and one final state
+  * and with several labels, states and final states. At every slide
   * boundary the answers equal the brute-force snapshot, and after every
   * `advance(now)` the resident state is exactly what a brute-force count
   * of the entries valid past `now` gives.
@@ -74,6 +77,36 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
       val pairs = BruteForce.snapshot(expr, ingested, now)
       pairs.size.toLong + pairs.map(_._1).size
     }))
+  }
+
+  /** Δ-PATH of `expr` over the tuples live after `now`: a tree per root
+    * with a live edge out of the DFA's start state, holding the root and
+    * every `(v, q)` reachable from `(root, start)` in the product graph.
+    */
+  private def pathNodes(expr: SgaExpr, ingested: Seq[Sge], now: Long): Long = {
+    val p     = expr.asInstanceOf[SgaExpr.Path]
+    val dfa   = Dfa.fromRegex(p.regex)
+    val edges = p.ins.flatMap(in => live(in.asInstanceOf[SgaExpr.Wscan], ingested, now))
+    val out   = edges.groupBy(_.src)
+    val roots = edges.filter(e => dfa.delta(dfa.start, e.label).nonEmpty).map(_.src).distinct
+    roots.map { r =>
+      val seen  = mutable.HashSet((r, dfa.start))
+      val queue = mutable.Queue((r, dfa.start))
+      while (queue.nonEmpty) {
+        val (v, q) = queue.dequeue()
+        for (e <- out.getOrElse(v, Nil); q2 <- dfa.delta(q, e.label) if seen.add((e.trg, q2)))
+          queue.enqueue((e.trg, q2))
+      }
+      seen.size.toLong
+    }.sum
+  }
+
+  test("property: Q2 S-PATH state after each advance is the product closure of the live window") {
+    checkProp(Prop.forAll(genCase)(c => check("Q2", c)(pathNodes)))
+  }
+
+  test("property: Q3 S-PATH state after each advance is the product closure of the live window") {
+    checkProp(Prop.forAll(genCase)(c => check("Q3", c)(pathNodes)))
   }
 
   test("property: Q5 PATTERN state after each advance counts the live join prefixes") {

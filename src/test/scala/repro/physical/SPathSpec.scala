@@ -173,4 +173,47 @@ class SPathSpec extends AnyFunSuite {
     assert(sink.map(_.sgt.key).toSet == Set((x, y, "RLP")))
     assert(n.stateSize == 2)
   }
+
+  test("an arriving edge settles each node once, even a diamond's sink") {
+    val (n, sink) = mkNode()
+    val (a, b, c, d) = (10L, 11L, 12L, 13L)
+    // a reaches d directly until 50 and over the longer branch a→b→c→d
+    // until 40. The long branch comes later in a's adjacency, so a LIFO
+    // traversal would settle d at 40 first and refresh it to 50.
+    feed(n, sgt(a, d, "RL", 1, 50), sgt(a, b, "RL", 2, 40), sgt(b, c, "RL", 3, 40),
+            sgt(c, d, "RL", 4, 40))
+    val (steps, emitted) = (n.traversalSteps, sink.size)
+    feed(n, sgt(x, a, "RL", 5, 60))
+    val out = sink.drop(emitted).map(_.sgt)
+    assert(out.map(_.key) == out.map(_.key).distinct, s"a pair was emitted twice: $out")
+    assert(out.map(_.key).toSet == Set(a, b, c, d).map((x, _, "RLP")))
+    val xd = out.find(_.trg == d).get
+    assert(xd.exp == 50 && xd.path == List(Edge(x, a, "RL"), Edge(a, d, "RL")))
+    // Frames popped: a (60), d (50), b (40), c (40); c's edge to d (40)
+    // cannot improve d (50) and is never pushed.
+    assert(n.traversalSteps - steps == 4)
+  }
+
+  test("a swap-removed adjacency entry leaves the moved entry reachable and expiring on time") {
+    val (n, sink) = mkNode()
+    val (a, b, c, d) = (10L, 11L, 12L, 13L)
+    // y's entries in arrival order: a (exp 10), b (20), c (30), d (40).
+    feed(n, sgt(y, a, "RL", 1, 10), sgt(y, b, "RL", 2, 20), sgt(y, c, "RL", 3, 30),
+            sgt(y, d, "RL", 4, 40))
+    def reachedThroughY(from: Long, ts: Long): Set[Long] = {
+      sink.clear()
+      feed(n, sgt(from, y, "RL", ts, 100))
+      sink.map(_.sgt).filter(r => r.src == from && r.trg != y).map(_.trg).toSet
+    }
+    n.advance(10) // a goes; d moves into its slot
+    assert(reachedThroughY(1000, 11) == Set(b, c, d))
+    n.advance(20)
+    assert(reachedThroughY(1001, 21) == Set(c, d))
+    n.advance(30)
+    assert(reachedThroughY(1002, 31) == Set(d))
+    n.advance(40) // the moved entry expires from its new slot
+    assert(reachedThroughY(1003, 41) == Set.empty)
+    feed(n, sgt(y, d, "RL", 42, 70))
+    assert(reachedThroughY(1004, 43) == Set(d))
+  }
 }
