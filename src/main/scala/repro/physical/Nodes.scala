@@ -1,6 +1,6 @@
 package repro.physical
 
-import repro.core.Model.{Edge, Sgt}
+import repro.core.Model.Sgt
 import repro.core.SgaExpr
 import scala.collection.mutable
 
@@ -134,15 +134,25 @@ final class Coalescer extends SetSemantics {
 /** Counting-based DISTINCT (classical Counting IVM [35]) for the
   * negative-tuple mode: tracks derivation counts per distinguished key,
   * emitting an insert on 0→1 and a retraction on 1→0.
+  *
+  * Like the [[Coalescer]], it serves one operator whose results all carry
+  * the same label (PATTERN's `p.label`, UNION after relabeling, the NT
+  * and DD PATH output label), so it keys counts by `(src, trg)` alone:
+  * one `LongMap` per source over unboxed target ids.
   */
 final class CountingDistinct extends SetSemantics {
-  private val counts = mutable.HashMap.empty[(Long, Long, String), Int]
+  private val counts = mutable.LongMap.empty[mutable.LongMap[Int]]
 
   def offer(d: Delta): Option[Delta] = {
-    val k = d.sgt.key
-    val c = counts.getOrElse(k, 0) + d.sign
-    require(c >= 0, s"negative multiplicity for $k — unbalanced deletes")
-    if (c == 0) counts.remove(k) else counts(k) = c
+    val t     = d.sgt
+    val bySrc = counts.getOrElseUpdate(t.src, mutable.LongMap.empty[Int])
+    val c     = bySrc.getOrElse(t.trg, 0) + d.sign
+    require(c >= 0, s"negative multiplicity for ${t.key} — unbalanced deletes")
+    if (c > 0) bySrc(t.trg) = c
+    else {
+      bySrc.remove(t.trg)
+      if (bySrc.isEmpty) counts.remove(t.src)
+    }
     if (d.sign == 1 && c == 1) Some(d)
     else if (d.sign == -1 && c == 0) Some(d)
     else None
@@ -155,6 +165,7 @@ final class CountingDistinct extends SetSemantics {
   * mode emitted tuples carry `[ts, ∞)` — the window is simulated the DD
   * way, by buffering every input and emitting an explicit deletion when
   * its window interval has passed (SEQ-WINDOW of CQL, paper §7.2.2).
+  * The payload, the input edge itself, is the one `Sgt.fromSge` built.
   */
 final class WscanNode(val w: SgaExpr.Wscan, mode: Mode) extends Node {
   val label: String = w.label
@@ -166,12 +177,12 @@ final class WscanNode(val w: SgaExpr.Wscan, mode: Mode) extends Node {
     val exp = w.expiryOf(e.ts)
     mode match {
       case Mode.Direct =>
-        emit(Delta(e.copy(exp = exp, path = List(Edge(e.src, e.trg, e.label))), 1))
+        emit(Delta(e.copy(exp = exp), 1))
       case _ =>
         // Identity in NT mode is values-only: a retraction must be
         // indistinguishable from its insertion, so intervals are vacuous
         // (`[0, ∞)`); the real expiry drives the deletion schedule below.
-        val t = e.copy(ts = 0L, exp = Long.MaxValue, path = List(Edge(e.src, e.trg, e.label)))
+        val t = e.copy(ts = 0L, exp = Long.MaxValue)
         pending.schedule(exp, t)
         emit(Delta(t, 1))
     }

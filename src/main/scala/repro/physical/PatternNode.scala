@@ -5,148 +5,189 @@ import repro.core.SgaExpr
 import repro.core.SgaExpr.Pos
 import scala.collection.mutable
 
-/** PATTERN (Def. 19) as a left-deep tree of pipelined symmetric hash
-  * joins (paper §6.1, [77]).
+/** PATTERN (Def. 19) as one n-ary symmetric hash join (MJoin, Viglas et
+  * al., VLDB 2003): the pipelined symmetric hash joins of paper §6.1
+  * without materialized join prefixes.
   *
-  * Input `i` feeds binary join level `i` (level 1 joins inputs 0 and 1,
-  * level `i` joins the accumulated prefix 0..i-1 with input `i`). Each
-  * level keeps two hash tables keyed on the equality columns that link
-  * the two sides; a tuple arriving on either side is inserted into its
-  * table and probes the other (symmetric hash join).
+  * Each input tuple is stored once, in a group of its input's `src`
+  * index and, when its `trg` variable is joined with another input, in
+  * a group of its `trg` index. An arriving tuple (insert or deletion) is
+  * extended one input at a time over the other inputs' indexes; the next
+  * input is chosen per partial binding (see [[extend]]), and no partial
+  * result is stored. Each arrival thus yields exactly the derivations a
+  * binary join tree would give it — every combination with the current
+  * tuples of the other inputs that meets the equalities — only in an
+  * order that follows the selective inputs instead of the RQ body.
   *
-  * - Direct mode: tuples carry validity intervals; join results take the
-  *   interval intersection (Def. 19) so expired state never produces a
-  *   valid result. A key's entries are kept sorted by expiry and the key
-  *   sits in an [[ExpiryWheel]] at its oldest entry's expiry, so
-  *   `advance` pops expired entries off the keys whose bucket came due
-  *   and never looks at the rest of the state.
+  * - Direct mode: a derivation's interval is the intersection of its
+  *   tuples' intervals (Def. 19); empty ones are pruned while extending.
+  *   A group's entries are kept sorted by expiry and the group sits in
+  *   an [[ExpiryWheel]] at its oldest entry's expiry, so `advance` pops
+  *   expired input tuples off the groups whose bucket came due and never
+  *   looks at the rest of the state.
   * - Negative-tuple mode: intervals are vacuous (`[ts, ∞)`); a deletion
-  *   removes one instance from its hash table and probes the other side
-  *   to retract previously produced join results, cascading up the tree
-  *   (paper §6.3). A counting DISTINCT restores set semantics.
+  *   removes its tuple from its groups and extends like an insertion to
+  *   retract the derivations it took part in (paper §6.3). A counting
+  *   DISTINCT restores set semantics.
   */
 final class PatternNode(p: SgaExpr.Pattern, mode: Mode) extends Node {
   import PatternNode._
 
   private val n = p.ins.size
+  require(n <= 32, s"PATTERN over $n inputs; at most 32 are supported")
 
   private def posIdx(pos: Pos): Int = 2 * pos.input + (if (pos.isSrc) 0 else 1)
 
-  // Equality classification: intra-input equalities become per-input
-  // filters; cross-input equalities attach to the join level of their
-  // later input.
-  private val intraEqs: Map[Int, List[(Pos, Pos)]] =
-    p.equalities.filter(e => e._1.input == e._2.input).groupBy(_._1.input)
-  private val levelEqs: Map[Int, List[(Pos, Pos)]] =
-    p.equalities.filter(e => e._1.input != e._2.input)
-      .groupBy(e => math.max(e._1.input, e._2.input))
+  /** Variable of each position (`2i` src_i, `2i+1` trg_i): the classes of
+    * the equalities, numbered densely.
+    */
+  private val varOf: Array[Int] = {
+    val parent = Array.tabulate(2 * n)(identity)
+    def find(i: Int): Int = if (parent(i) == i) i else find(parent(i))
+    for ((a, b) <- p.equalities) parent(find(posIdx(a))) = find(posIdx(b))
+    val roots = (0 until 2 * n).map(find)
+    val ids   = roots.distinct.zipWithIndex.toMap
+    roots.map(ids).toArray
+  }
+  private def srcVar(i: Int): Int = varOf(2 * i)
+  private def trgVar(i: Int): Int = varOf(2 * i + 1)
 
-  // Hash tables per level 1..n-1. Left stores prefixes, right input i.
-  private val leftTables  = Array.fill(n)(mutable.HashMap.empty[JoinKey, Group])
-  private val rightTables = Array.fill(n)(mutable.HashMap.empty[JoinKey, Group])
-  private val expiry      = new ExpiryWheel[Group]
+  /** An input whose src and trg share a variable keeps only self-loops. */
+  private val selfLoop = Array.tabulate(n)(i => srcVar(i) == trgVar(i))
+
+  private val bySrc = Array.fill(n)(mutable.LongMap.empty[Group])
+  /** Per input, the `trg` index, or `null` when its trg variable is
+    * joined with no other input (it is then never bound before the input
+    * is taken).
+    */
+  private val byTrg = Array.tabulate(n) { i =>
+    val joined = !selfLoop(i) && (0 until 2 * n).exists(q => q / 2 != i && varOf(q) == trgVar(i))
+    if (joined) mutable.LongMap.empty[Group] else null
+  }
+  private val live   = new Array[Long](n)
+  private val expiry = new ExpiryWheel[Group]
 
   private val distinct = SetSemantics(mode)
 
-  /** Join key positions of level `i`, aligned pairwise: into the prefix
-    * binding on the left, into the input-`i` tuple (`0` src, `1` trg) on
-    * the right.
-    */
-  private def levelKeys(i: Int): (Array[Int], Array[Int]) = {
-    val pairs = levelEqs.getOrElse(i, Nil).map { case (a, b) =>
-      if (math.max(a.input, b.input) != i)
-        throw new IllegalStateException("equality assigned to wrong level")
-      if (a.input == i) (posIdx(b), posIdx(a) - 2 * i) else (posIdx(a), posIdx(b) - 2 * i)
-    }
-    (pairs.map(_._1).toArray, pairs.map(_._2).toArray)
-  }
-  private val (leftKeys, rightKeys) =
-    Array.tabulate(n)(i => if (i == 0) (Array.empty[Int], Array.empty[Int]) else levelKeys(i)).unzip
+  // Values of the variables bound so far; which ones are valid is the
+  // `bound` mask passed down `extend`.
+  private val vals = new Array[Long](varOf.max + 1)
+  private val outSrc = varOf(posIdx(p.outSrc))
+  private val outTrg = varOf(posIdx(p.outTrg))
 
   override def receive(d: Delta, slot: Int): Unit = {
     val t = d.sgt
-    // Intra-input equalities are plain filters on the arriving tuple.
-    val selfOk = intraEqs.getOrElse(slot, Nil).forall { case (a, b) =>
-      value(t, a.isSrc) == value(t, b.isSrc)
-    }
-    if (!selfOk) return
-
-    val pt = new PartialTuple(Array(t.src, t.trg), t.ts, t.exp)
-    if (n == 1) project(pt, d.sign)
-    else if (slot == 0) leftArrival(1, pt, d.sign)
-    else rightArrival(slot, pt, d.sign)
-  }
-
-  private def value(t: Sgt, isSrc: Boolean): Long = if (isSrc) t.src else t.trg
-
-  private def keyOf(pt: PartialTuple, positions: Array[Int]): JoinKey =
-    new JoinKey(positions.map(pt.bind(_)))
-
-  // A probe reads the other side's group at this level while `join`
-  // writes only at level + 1, so the group is iterated in place.
-
-  /** A prefix tuple (inputs 0..level-1) arrives at `level`'s left side. */
-  private def leftArrival(level: Int, pt: PartialTuple, sign: Int): Unit = {
-    val key = keyOf(pt, leftKeys(level))
-    update(leftTables(level), key, pt, sign)
-    rightTables(level).get(key).foreach { g =>
-      var i = g.head
-      while (i < g.entries.length) { join(pt, g.entries(i), level, sign); i += 1 }
+    if (selfLoop(slot) && t.src != t.trg) return
+    vals(srcVar(slot)) = t.src
+    vals(trgVar(slot)) = t.trg
+    if (n == 1) project(t.ts, t.exp, d.sign)
+    else {
+      val u = new Tup(t.src, t.trg, t.ts, t.exp)
+      update(bySrc(slot), u.src, u, slot, d.sign)
+      if (byTrg(slot) != null) update(byTrg(slot), u.trg, u, slot, d.sign)
+      live(slot) += d.sign
+      extend(1L << slot, bit(srcVar(slot)) | bit(trgVar(slot)), t.ts, t.exp, d.sign)
     }
   }
 
-  /** An input-`level` tuple arrives at `level`'s right side. */
-  private def rightArrival(level: Int, pt: PartialTuple, sign: Int): Unit = {
-    val key = keyOf(pt, rightKeys(level))
-    update(rightTables(level), key, pt, sign)
-    leftTables(level).get(key).foreach { g =>
-      var i = g.head
-      while (i < g.entries.length) { join(g.entries(i), pt, level, sign); i += 1 }
-    }
-  }
-
-  /** Interval-intersecting merge of a prefix and an input-`level` tuple,
-    * passed up to the next level (or projected at the last).
+  /** Extends a partial derivation over inputs `used`, with variables
+    * `bound` and interval `[ts, exp)`, by one more input:
+    *   - an input with both variables bound is a membership check, made on
+    *     the smaller of its two groups;
+    *   - otherwise the connected input whose group for its bound value is
+    *     smallest; a connected input with no such group ends the extension;
+    *   - with no connected input left (a cross product), the input with
+    *     the fewest tuples, scanned whole.
+    * A probe iterates groups in place: only the arriving tuple's own
+    * input is written during an arrival, and it is never probed.
     */
-  private def join(left: PartialTuple, right: PartialTuple, level: Int, sign: Int): Unit = {
-    val ts  = math.max(left.ts, right.ts)
-    val exp = math.min(left.exp, right.exp)
-    if (ts < exp) {
-      val bind = java.util.Arrays.copyOf(left.bind, 2 * level + 2)
-      bind(2 * level) = right.bind(0)
-      bind(2 * level + 1) = right.bind(1)
-      val merged = new PartialTuple(bind, ts, exp)
-      if (level == n - 1) project(merged, sign) else leftArrival(level + 1, merged, sign)
+  private def extend(used: Long, bound: Long, ts: Long, exp: Long, sign: Int): Unit = {
+    if (used == (1L << n) - 1) { project(ts, exp, sign); return }
+    var best: Group = null
+    var bestInput   = -1
+    var both        = false
+    var i = 0
+    while (i < n && !both) {
+      if ((used & (1L << i)) == 0) {
+        val sb = (bound & bit(srcVar(i))) != 0
+        val tb = (bound & bit(trgVar(i))) != 0
+        if (sb || tb) {
+          val gs = if (sb) bySrc(i).getOrNull(vals(srcVar(i))) else null
+          val gt = if (tb && !selfLoop(i)) byTrg(i).getOrNull(vals(trgVar(i))) else null
+          if ((sb && gs == null) || (tb && !selfLoop(i) && gt == null)) return
+          val g = if (gt == null || (gs != null && gs.size <= gt.size)) gs else gt
+          both = sb && tb
+          if (both || best == null || g.size < best.size) { best = g; bestInput = i }
+        }
+      }
+      i += 1
+    }
+    if (best != null) probe(best, bestInput, used, bound, ts, exp, sign)
+    else {
+      i = 0
+      while (i < n) {
+        if ((used & (1L << i)) == 0 && (bestInput < 0 || live(i) < live(bestInput))) bestInput = i
+        i += 1
+      }
+      bySrc(bestInput).valuesIterator.foreach(g => probe(g, bestInput, used, bound, ts, exp, sign))
     }
   }
 
-  private def project(pt: PartialTuple, sign: Int): Unit = {
-    val src = pt.bind(posIdx(p.outSrc))
-    val trg = pt.bind(posIdx(p.outTrg))
+  /** Extends over each entry of `g`, a group of input `i`, that agrees with
+    * the bound variables and overlaps `[ts, exp)`.
+    */
+  private def probe(g: Group, i: Int, used: Long, bound: Long, ts: Long, exp: Long, sign: Int): Unit = {
+    val sv = srcVar(i)
+    val tv = trgVar(i)
+    val sb = (bound & bit(sv)) != 0
+    val tb = (bound & bit(tv)) != 0
+    val es = g.entries
+    var k  = g.head
+    while (k < es.length) {
+      val u = es(k)
+      if ((!sb || u.src == vals(sv)) && (!tb || u.trg == vals(tv))) {
+        val ts2  = math.max(ts, u.ts)
+        val exp2 = math.min(exp, u.exp)
+        if (ts2 < exp2) {
+          vals(sv) = u.src
+          vals(tv) = u.trg
+          extend(used | (1L << i), bound | bit(sv) | bit(tv), ts2, exp2, sign)
+        }
+      }
+      k += 1
+    }
+  }
+
+  private def project(ts: Long, exp: Long, sign: Int): Unit = {
+    val src = vals(outSrc)
+    val trg = vals(outTrg)
     // Payload of a PATTERN result is the derived edge itself (Def. 19).
-    val out = Sgt(src, trg, p.label, pt.ts, pt.exp, List(Edge(src, trg, p.label)))
+    val out = Sgt(src, trg, p.label, ts, exp, List(Edge(src, trg, p.label)))
     distinct.offer(Delta(out, sign)).foreach(emit)
   }
 
-  /** Insert (`sign = 1`) or remove one instance of `pt` under `key`. */
-  private def update(table: Table, key: JoinKey, pt: PartialTuple, sign: Int): Unit =
+  /** Insert (`sign = 1`) or remove one instance of input `i`'s tuple `u`
+    * under `key` of `index`; a removed tuple must be present.
+    */
+  private def update(index: Index, key: Long, u: Tup, i: Int, sign: Int): Unit =
     if (sign == 1) {
-      val g  = table.getOrElseUpdate(key, new Group(key, table))
+      var g = index.getOrNull(key)
+      if (g == null) { g = new Group(key, index, i); index(key) = g }
       val es = g.entries
-      // Arrivals are mostly the youngest; a merged prefix may be older.
-      var i = es.length
-      while (i > g.head && es(i - 1).exp > pt.exp) i -= 1
-      es.insert(i, pt)
-      if (mode == Mode.Direct && pt.exp < g.scheduled) {
-        g.scheduled = pt.exp
-        expiry.schedule(pt.exp, g)
+      // Arrivals are mostly the youngest; a PATH input may emit older ones.
+      var k = es.length
+      while (k > g.head && es(k - 1).exp > u.exp) k -= 1
+      es.insert(k, u)
+      if (mode == Mode.Direct && u.exp < g.scheduled) {
+        g.scheduled = u.exp
+        expiry.schedule(u.exp, g)
       }
     } else {
-      val g = table.getOrElse(key, null)
-      val i = if (g == null) -1 else g.entries.indexWhere(_.sameAs(pt), g.head)
-      require(i >= 0, s"negative tuple for absent entry ${pt.bind.mkString("(", ", ", ")")}")
-      g.entries.remove(i)
-      if (g.entries.length == g.head) table.remove(key)
+      val g = index.getOrNull(key)
+      val k = if (g == null) -1 else g.entries.indexWhere(_.sameAs(u), g.head)
+      require(k >= 0, s"negative tuple for absent entry (${u.src}, ${u.trg})")
+      g.entries.remove(k)
+      if (g.size == 0) index.remove(key)
     }
 
   override def advance(now: Long): Unit = if (mode == Mode.Direct) {
@@ -155,16 +196,19 @@ final class PatternNode(p: SgaExpr.Pattern, mode: Mode) extends Node {
   }
 
   /** Drop `g`'s entries that expired by `now`; schedule it again at its
-    * new oldest entry, or remove it from its table once empty.
+    * new oldest entry, or remove it from its index once empty. A tuple
+    * leaves `live` with its `src` group, the one group every tuple is in.
     */
   private def expire(g: Group, now: Long): Unit = {
     val es = g.entries
+    val h0 = g.head
     while (g.head < es.length && es(g.head).exp <= now) {
       es(g.head) = null
       g.head += 1
     }
+    if (g.index eq bySrc(g.input)) live(g.input) -= g.head - h0
     if (g.head == es.length) {
-      g.table.remove(g.key)
+      g.index.remove(g.key)
       g.scheduled = Long.MaxValue
     } else {
       if (2 * g.head >= es.length) { es.remove(0, g.head); g.head = 0 }
@@ -173,39 +217,30 @@ final class PatternNode(p: SgaExpr.Pattern, mode: Mode) extends Node {
     }
   }
 
-  /** Total tuples resident across all hash tables (state-size metric). */
-  override def stateSize: Long =
-    (leftTables ++ rightTables).map(_.valuesIterator.map(g => (g.entries.length - g.head).toLong).sum).sum
+  /** Live input tuples, each counted once (state-size metric). */
+  override def stateSize: Long = live.sum
 }
 
 private object PatternNode {
-  /** Partial binding of inputs `0 until bind.length / 2`: `bind(2i)` is
-    * src_i, `bind(2i+1)` trg_i. An input tuple on its own is `(src, trg)`.
-    */
-  private final class PartialTuple(val bind: Array[Long], val ts: Long, val exp: Long) {
-    def sameAs(o: PartialTuple): Boolean =
-      ts == o.ts && exp == o.exp && java.util.Arrays.equals(bind, o.bind)
+  private def bit(v: Int): Long = 1L << v
+
+  /** An input tuple: its own `(src, trg)` and validity interval. */
+  private final class Tup(val src: Long, val trg: Long, val ts: Long, val exp: Long) {
+    def sameAs(o: Tup): Boolean = src == o.src && trg == o.trg && ts == o.ts && exp == o.exp
   }
 
-  /** The equality-column values of a tuple, hashed once. */
-  private final class JoinKey(val cols: Array[Long]) {
-    override val hashCode: Int = java.util.Arrays.hashCode(cols)
-    override def equals(o: Any): Boolean = o match {
-      case k: JoinKey => k.hashCode == hashCode && java.util.Arrays.equals(cols, k.cols)
-      case _          => false
-    }
-  }
+  private type Index = mutable.LongMap[Group]
 
-  private type Table = mutable.HashMap[JoinKey, Group]
-
-  /** One key's entries in a join table, sorted by expiry (equal expiries
-    * in arrival order); `entries(0 until head)` have expired. In direct
-    * mode the group is scheduled at `scheduled`, at most its oldest
-    * entry's expiry; a registration at any other bucket is stale.
+  /** The entries of input `input`'s `index` under `key`, sorted by expiry
+    * (equal expiries in arrival order); `entries(0 until head)` have
+    * expired. In direct mode the group is scheduled at `scheduled`, at
+    * most its oldest entry's expiry; a registration at any other bucket
+    * is stale.
     */
-  private final class Group(val key: JoinKey, val table: Table) {
-    val entries = new mutable.ArrayBuffer[PartialTuple](2)
+  private final class Group(val key: Long, val index: Index, val input: Int) {
+    val entries = new mutable.ArrayBuffer[Tup](2)
     var head = 0
     var scheduled = Long.MaxValue
+    def size: Int = entries.length - head
   }
 }

@@ -13,10 +13,12 @@ import scala.collection.mutable
   * schedule: equal timestamps, windows that are not a multiple of the
   * slide, slide 1, empty slides and hot vertices. Q1 (`a+`), Q2 (`a∘b*`)
   * and Q3 (`a∘b*∘c*`) cover S-PATH with one label and one final state
-  * and with several labels, states and final states. At every slide
-  * boundary the answers equal the brute-force snapshot, and after every
-  * `advance(now)` the resident state is exactly what a brute-force count
-  * of the entries valid past `now` gives.
+  * and with several labels, states and final states; Q5 covers PATTERN.
+  * At every slide boundary the answers equal the brute-force snapshot,
+  * and after every `advance(now)` the resident state is exactly what a
+  * brute-force count of the entries valid past `now` gives. The same
+  * streams check PATTERN (Q5) and PATH over PATTERN (Q8) in the
+  * negative-tuple and differential modes against brute force.
   */
 class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
 
@@ -59,11 +61,17 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
       while (i < in.size && in(i).ts < now + c.slide) { df.ingest(in(i)); i += 1 }
       now += c.slide
     }
-    val run = Engine.run(expr, Mode.Direct, c.stream, c.slide)
-    for (t <- c.slide - 1 to last by c.slide if failure.isEmpty)
-      if (run.snapshotAt(t) != BruteForce.snapshot(expr, c.stream, t))
-        failure = Some(s"$q: answers diverge from brute force at t=$t")
+    if (failure.isEmpty) failure = divergence(q, expr, Mode.Direct, c, last)
     Prop(failure.isEmpty) :| s"${failure.getOrElse("")}; $c"
+  }
+
+  /** The first slide boundary up to `last` at which `mode`'s answers
+    * differ from brute force, if any.
+    */
+  private def divergence(q: String, expr: SgaExpr, mode: Mode, c: Case, last: Long): Option[String] = {
+    val run = Engine.run(expr, mode, c.stream, c.slide)
+    (c.slide - 1 to last by c.slide).find(t => run.snapshotAt(t) != BruteForce.snapshot(expr, c.stream, t))
+      .map(t => s"$q $mode: answers diverge from brute force at t=$t")
   }
 
   /** Tuples of `w` ingested and still valid after `now`. */
@@ -109,23 +117,27 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
     checkProp(Prop.forAll(genCase)(c => check("Q3", c)(pathNodes)))
   }
 
-  test("property: Q5 PATTERN state after each advance counts the live join prefixes") {
+  test("property: Q5 PATTERN state after each advance counts the live input tuples") {
     checkProp(Prop.forAll(genCase)(c => check("Q5", c) { (expr, ingested, now) =>
-      val p = expr.asInstanceOf[SgaExpr.Pattern]
-      val ins = p.ins.map(in => live(in.asInstanceOf[SgaExpr.Wscan], ingested, now))
-      def at(b: Vector[Sge], pos: SgaExpr.Pos) = if (pos.isSrc) b(pos.input).src else b(pos.input).trg
-      // Level l's left table holds every live combination of inputs
-      // 0 until l that meets their equalities; its right table input l.
-      var prefixes = ins.head.map(Vector(_))
-      var total    = 0L
-      for (l <- 1 until ins.size) {
-        total += prefixes.size + ins(l).size
-        prefixes = for (b <- prefixes; e <- ins(l); ext = b :+ e
-                        if p.equalities.forall { case (x, y) =>
-                          math.max(x.input, y.input) != l || at(ext, x) == at(ext, y) })
-                   yield ext
-      }
-      total
+      // Only input tuples are stored, each once; Q5 has no self-loop atom.
+      expr.asInstanceOf[SgaExpr.Pattern].ins
+        .map(in => live(in.asInstanceOf[SgaExpr.Wscan], ingested, now).size.toLong).sum
     }))
   }
+
+  for (q <- Seq("Q5", "Q8"); mode <- Seq(Mode.NegativeTuple, Mode.Differential))
+    test(s"property: $q in $mode mode equals brute force at every slide boundary") {
+      checkProp(Prop.forAll(genCase) { g =>
+        // Negative tuples expire at slide boundaries, so a slide's last
+        // instant sees the exact window only when |W| is a multiple of β.
+        val c    = g.copy(window = g.window / g.slide * g.slide)
+        val expr = Workloads.expr(q, binding, c.window, c.slide)
+        // Deletions flow only while slides fire: up to the slide of the
+        // last relevant edge.
+        val last = c.stream.filter(e => expr.inputLabels(e.label)).lastOption
+          .fold(0L)(e => e.ts / c.slide * c.slide + c.slide - 1)
+        val failure = divergence(q, expr, mode, c, last)
+        Prop(failure.isEmpty) :| s"${failure.getOrElse("")}; $c"
+      })
+    }
 }

@@ -126,18 +126,69 @@ class PatternNodeSpec extends AnyFunSuite {
     SgaExpr.Pattern(List(w("a"), w("b"), w("c")),
       List((trg(0), src(1)), (trg(1), src(2))), src(0), trg(2), "d")
 
-  test("a merged prefix older than its key's entries expires on time; younger ones survive") {
+  test("an older-expiring entry that arrives after younger ones on its key expires on time") {
     val (n, sink) = mk(chain3, Mode.Direct)
     n.receive(Delta(sgt(1, 2, "a", 0, 30), 1), 0)
-    n.receive(Delta(sgt(2, 3, "b", 0, 30), 1), 1) // prefix (1,2,2,3) [0,30) on key 3
-    n.receive(Delta(sgt(5, 2, "a", 1, 10), 1), 0) // prefix (5,2,2,3) [1,10) on key 3
-    assert(n.stateSize == 5)
+    n.receive(Delta(sgt(2, 3, "b", 0, 30), 1), 1)
+    // Same src and trg keys as a(1,2) [0,30), older expiry (a PATH input can do this).
+    n.receive(Delta(sgt(1, 2, "a", 1, 10), 1), 0)
+    assert(n.stateSize == 3)
     n.advance(10)
-    assert(n.stateSize == 3, "a(5,2) and its prefix expire at 10, before the key's older bucket")
+    assert(n.stateSize == 2, "a(1,2) [1,10) expires at 10, before its keys' older bucket")
     n.receive(Delta(sgt(3, 9, "c", 11, 40), 1), 2)
-    assert(sink.map(_.sgt.key).toSet == Set((1L, 9L, "d")))
+    assert(sink.map(d => (d.sgt.key, d.sgt.ts, d.sgt.exp)).toList == List(((1L, 9L, "d"), 11L, 30L)))
     n.advance(30)
     assert(n.stateSize == 1)
+  }
+
+  test("Q5-shaped 4-cycle: every arrival order yields the one result with the intersected interval") {
+    // knows(x,y), hasCreator(m1,x), hasCreator(m2,y), replyOf(m2,m1) -> (m1, m2)
+    val p = SgaExpr.Pattern(List(w("k"), w("h"), w("h"), w("r")),
+      List((src(0), trg(1)), (trg(0), trg(2)), (src(1), trg(3)), (src(2), src(3))),
+      src(1), src(2), "Q5")
+    val tuples = Seq(sgt(1, 2, "k", 0, 30), sgt(10, 1, "h", 2, 25), sgt(20, 2, "h", 4, 28), sgt(20, 10, "r", 6, 40))
+    for (order <- tuples.indices.permutations) {
+      val (n, sink) = mk(p, Mode.Direct)
+      order.foreach(i => n.receive(Delta(tuples(i), 1), i))
+      assert(sink.map(d => (d.sgt.key, d.sgt.ts, d.sgt.exp)).toList == List(((10L, 20L, "Q5"), 6L, 25L)),
+        s"arrival order $order")
+      assert(n.stateSize == 4)
+    }
+  }
+
+  test("a pattern with no equality yields the full cross product") {
+    val p = SgaExpr.Pattern(List(w("a"), w("b")), Nil, src(0), trg(1), "d")
+    val (n, sink) = mk(p, Mode.Direct)
+    n.receive(Delta(sgt(1, 2, "a", 0, 30), 1), 0)
+    n.receive(Delta(sgt(5, 6, "b", 1, 30), 1), 1)
+    n.receive(Delta(sgt(3, 4, "a", 2, 30), 1), 0)
+    n.receive(Delta(sgt(7, 8, "b", 3, 30), 1), 1)
+    assert(sink.map(_.sgt.key).toSet == Set((1L, 6L, "d"), (1L, 8L, "d"), (3L, 6L, "d"), (3L, 8L, "d")))
+  }
+
+  test("equalities src0 = src1 and trg0 = src1 keep only self-loops of input 0") {
+    val p = SgaExpr.Pattern(List(w("a"), w("b")), List((src(0), src(1)), (trg(0), src(1))), src(0), trg(1), "d")
+    val (n, sink) = mk(p, Mode.Direct)
+    n.receive(Delta(sgt(1, 2, "a", 0, 30), 1), 0)
+    n.receive(Delta(sgt(5, 5, "a", 0, 30), 1), 0)
+    n.receive(Delta(sgt(1, 9, "b", 1, 30), 1), 1)
+    n.receive(Delta(sgt(2, 9, "b", 1, 30), 1), 1)
+    n.receive(Delta(sgt(5, 9, "b", 1, 30), 1), 1)
+    assert(sink.map(_.sgt.key).toList == List((5L, 9L, "d")))
+    assert(n.stateSize == 4, "a(1,2) is not stored")
+  }
+
+  test("negative-tuple deletion of a tuple indexed on src and trg empties both groups") {
+    val (n, sink) = mk(chain3, Mode.NegativeTuple)
+    def t(s: Long, d: Long, l: String) = sgt(s, d, l, 0, Long.MaxValue)
+    n.receive(Delta(t(2, 3, "b"), 1), 1)
+    n.receive(Delta(t(2, 3, "b"), -1), 1)
+    assert(n.stateSize == 0)
+    // a(1,2) probes b's src group 2, c(3,4) its trg group 3: both are empty.
+    n.receive(Delta(t(1, 2, "a"), 1), 0)
+    n.receive(Delta(t(3, 4, "c"), 1), 2)
+    assert(sink.isEmpty)
+    intercept[IllegalArgumentException](n.receive(Delta(t(2, 3, "b"), -1), 1))
   }
 
   test("one advance that passes several expiry buckets purges all of them") {
