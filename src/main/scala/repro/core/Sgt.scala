@@ -31,7 +31,7 @@ object Model {
       label: String,
       ts: Long,
       exp: Long,
-      path: List[Edge]) {
+      path: Seq[Edge]) {
 
     /** Value-equivalence key (paper Def. 10): distinguished attributes only. */
     def key: (Long, Long, String) = (src, trg, label)

@@ -36,7 +36,16 @@ final class ExpiryWheel[A] {
     */
   def due(now: Long): Iterator[A] = {
     val ready = mutable.ListBuffer.empty[mutable.ArrayBuffer[A]]
-    while (keys.nonEmpty && keys.head <= now) ready += buckets.remove(keys.dequeue()).get
+    var b = nextDue(now)
+    while (b != null) { ready += b; b = nextDue(now) }
     ready.iterator.flatten
   }
+
+  /** Removes the earliest bucket keyed at or before `now` and returns it,
+    * or null if none is due: [[due]] for callers that loop over buckets
+    * by index. Items scheduled again meanwhile must be due after `now`.
+    */
+  def nextDue(now: Long): mutable.ArrayBuffer[A] =
+    if (keys.isEmpty || keys.head > now) null
+    else buckets.remove(keys.dequeue()).get
 }

@@ -84,9 +84,10 @@ object SetSemantics {
   * larger expiry.
   *
   * Every coalescer serves one operator whose results all carry the same
-  * label (S-PATH's and PATTERN's output label; UNION relabels before it
-  * offers), so it keys results by `(src, trg)` alone: one `LongMap` per
-  * source over unboxed target ids.
+  * label (PATTERN's output label; UNION relabels before it offers), so
+  * it keys results by `(src, trg)` alone: one `LongMap` per source over
+  * unboxed target ids. S-PATH applies the same rule on its tree nodes
+  * instead (see [[SPathNode]]).
   *
   * A key's expiry only grows while it is resident, so each key is
   * scheduled once in an [[ExpiryWheel]] and `purge` re-checks only the
@@ -166,8 +167,18 @@ final class CountingDistinct extends SetSemantics {
   * way, by buffering every input and emitting an explicit deletion when
   * its window interval has passed (SEQ-WINDOW of CQL, paper §7.2.2).
   * The payload, the input edge itself, is the one `Sgt.fromSge` built.
+  *
+  * Negative-tuple answers are exact at a slide's last instant, so a
+  * tuple valid on `[ts, exp)` is deleted at the start of the first slide
+  * whose last instant is at or after `exp`: `⌊exp/β⌋·β`, which is `exp`
+  * itself when β divides |W|. That slide must come after the tuple's
+  * own, so these modes require |W| ≥ β.
+  *
+  * @throws IllegalArgumentException in a negative-tuple mode if |W| < β
   */
 final class WscanNode(val w: SgaExpr.Wscan, mode: Mode) extends Node {
+  require(mode == Mode.Direct || w.size >= w.slide,
+    s"window ${w.size} is shorter than its slide ${w.slide}: $mode mode cannot delete on time")
   val label: String = w.label
   private val pending = new ExpiryWheel[Sgt] // NT mode: deletions by window expiry
 
@@ -183,7 +194,7 @@ final class WscanNode(val w: SgaExpr.Wscan, mode: Mode) extends Node {
         // indistinguishable from its insertion, so intervals are vacuous
         // (`[0, ∞)`); the real expiry drives the deletion schedule below.
         val t = e.copy(ts = 0L, exp = Long.MaxValue)
-        pending.schedule(exp, t)
+        pending.schedule(exp / w.slide * w.slide, t)
         emit(Delta(t, 1))
     }
   }

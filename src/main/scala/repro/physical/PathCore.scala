@@ -2,7 +2,7 @@ package repro.physical
 
 import repro.core.Dfa
 import repro.core.Model.{Edge, Sgt}
-import scala.collection.mutable
+import scala.collection.{immutable, mutable}
 
 /** The window content of the negative-tuple PATH operators
   * ([[NtPathNode]], [[DdPathNode]]): a counted edge multiset plus
@@ -49,10 +49,15 @@ final class WindowGraph(dfa: Dfa) {
   def inEdges(v: Long): Iterator[(Long, String)] = rev.get(v).iterator.flatten
 }
 
-/** A Δ-PATH spanning-tree node `(v, s)` (Def. 22): its parent, the graph
-  * edge that derives it from the parent, and its children.
+/** A Δ-PATH tree node `(v, s)` (Def. 22): vertex `v` reached in DFA
+  * state `s`.
   */
-abstract class TreeNode[N <: TreeNode[N]](val v: Long, val s: Int) { self: N =>
+abstract class PathNode(val v: Long, val s: Int)
+
+/** A Δ-PATH tree node with its parent, the graph edge that derives it
+  * from the parent, and its children.
+  */
+abstract class TreeNode[N <: TreeNode[N]](v: Long, s: Int) extends PathNode(v, s) { self: N =>
   var parent: N = _
   var parentEdge: Edge = _
   /** In no particular order; a child sits at its `slot`. */
@@ -90,8 +95,34 @@ abstract class TreeNode[N <: TreeNode[N]](val v: Long, val s: Int) { self: N =>
   }
 }
 
-/** A spanning tree of parent-pointer nodes, indexed by `(v, s)`. */
-final class SpanningTree[N <: TreeNode[N]](val root: N) extends PathForest.Tree {
+/** An immutable edge path stored last edge first: a cell holds the last
+  * edge and the path before it, so a path extended by one edge is one
+  * new cell that shares the whole prefix (a persistent list; Driscoll et
+  * al., JCSS 1989). Building it costs O(1), never O(length). As a `Seq`
+  * it reads root-first and equals any `Seq` of the same edges.
+  */
+final class PathCell(override val last: Edge, val prefix: PathCell) extends immutable.AbstractSeq[Edge] {
+  override val length: Int = if (prefix == null) 1 else prefix.length + 1
+
+  def apply(i: Int): Edge = {
+    if (i < 0 || i >= length) throw new IndexOutOfBoundsException(s"$i is out of bounds (min 0, max ${length - 1})")
+    var c = this
+    var k = length - 1
+    while (k > i) { c = c.prefix; k -= 1 }
+    c.last
+  }
+
+  def iterator: Iterator[Edge] = {
+    val edges = new Array[Edge](length)
+    var c = this
+    var i = length - 1
+    while (c != null) { edges(i) = c.last; c = c.prefix; i -= 1 }
+    edges.iterator
+  }
+}
+
+/** A spanning tree of nodes indexed by `(v, s)`. */
+class SpanningTree[N <: PathNode](val root: N) extends PathForest.Tree {
   private val nodes = mutable.LongMap(PathForest.key(root.v, root.s) -> root)
   def rootV: Long = root.v
   def size: Int = nodes.size
@@ -160,9 +191,14 @@ final class PathForest[T <: PathForest.Tree](dfa: Dfa, newTree: Long => T) {
 }
 
 object PathForest {
+  /** A tree hashes as its root vertex, so the inverted index's sets of
+    * trees iterate in an order fixed by the input, the same in every run;
+    * equality stays identity.
+    */
   trait Tree {
     def rootV: Long
     def size: Int
+    override def hashCode: Int = java.lang.Long.hashCode(rootV)
   }
 
   private val StateBits = 16

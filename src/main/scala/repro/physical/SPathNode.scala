@@ -1,7 +1,7 @@
 package repro.physical
 
 import repro.core.{Dfa, Regex}
-import repro.core.Model.Sgt
+import repro.core.Model.{Edge, Sgt}
 import scala.collection.mutable
 
 /** PATH (Def. 20) via the paper's S-PATH algorithm (§6.2) — the *direct*
@@ -21,8 +21,14 @@ import scala.collection.mutable
   *
   * Each tree node `(v, s)` stores the path segment from the root with the
   * *largest expiry* among all equivalent segments (coalesce with
-  * `f_agg = max` over expiry, Def. 21); parent pointers materialize the
-  * actual path, making paths first-class citizens of the output.
+  * `f_agg = max` over expiry, Def. 21), as a [[PathCell]] that shares its
+  * prefix with its parent's: every result carries its exact witness
+  * path, built in O(1), making paths first-class citizens of the output.
+  *
+  * Set semantics (Def. 11) are kept on the trees themselves: the
+  * final-state nodes of a vertex `v` in the tree of root `r` share one
+  * [[Result]] entry for the pair `(r, v)`, so S-PATH needs no separate
+  * coalescer.
   *
   * An arriving edge runs one Expand/Propagate search over every tree it
   * extends, visiting frames in decreasing candidate expiry (a widest-path
@@ -37,20 +43,55 @@ import scala.collection.mutable
 final class SPathNode(regex: Regex, outLabel: String) extends Node {
   val dfa: Dfa = Dfa.fromRegex(regex)
 
-  /** A tree node. A node dropped from its tree has no parent; roots have
-    * none either, and never expire.
+  /** A tree node. It keeps no parent or child links: its witness names
+    * the edges that derive it, and expiry finds it through the wheel.
+    * Roots never expire.
     */
-  private final class TNode(v: Long, s: Int) extends TreeNode[TNode](v, s) {
+  private final class TNode(v: Long, s: Int) extends PathNode(v, s) {
     var tree: Tree = _
     var ts: Long = 0L
     var exp: Long = 0L
+    /** The path from the root that last derived this node; null at roots. */
+    var witness: PathCell = _
+    /** The result entry of `(tree.rootV, v)` if `s` is final, else null. */
+    var result: Result = _
   }
-  private type Tree = SpanningTree[TNode]
 
-  /** An adjacency entry `src -label-> trg` (label by dense id), coalesced
-    * on max expiry; `pos` is its slot in its source's [[Adj.out]].
+  /** The coalesced result `(root, v)` of one tree: the interval last
+    * emitted, and how many final-state nodes of `v` share the entry. Its
+    * `exp` is the largest expiry emitted, so the entry is live exactly
+    * while one of those nodes is.
     */
-  private final class EdgeRec(val src: Long, val trg: Long, val label: Int, var ts: Long, var exp: Long) {
+  private final class Result {
+    var ts: Long  = 0L
+    var exp: Long = Long.MinValue // nothing emitted yet
+    var refs: Int = 0
+  }
+
+  private final class Tree(root: TNode) extends SpanningTree[TNode](root) {
+    private val results = mutable.LongMap.empty[Result]
+
+    /** The result entry of `v`, taken by one more final-state node. */
+    def acquire(v: Long): Result = {
+      var r = results.getOrNull(v)
+      if (r == null) { r = new Result; results(v) = r }
+      r.refs += 1
+      r
+    }
+
+    /** Gives up a final-state node's share of the entry of `v`. */
+    def release(v: Long, r: Result): Unit = {
+      r.refs -= 1
+      if (r.refs == 0) results.remove(v)
+    }
+  }
+
+  /** An adjacency entry: a graph edge, its label's dense id and its
+    * validity, coalesced on max expiry. The `Edge` is made once and shared
+    * by every witness derived through it; `pos` is the entry's slot in
+    * its source's [[Adj.out]].
+    */
+  private final class EdgeRec(val edge: Edge, val label: Int, var ts: Long, var exp: Long) {
     var pos: Int = 0
   }
 
@@ -66,11 +107,10 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
   private val forest = new PathForest[Tree](dfa, rootV => {
     val root = new TNode(rootV, dfa.start)
     root.exp = Long.MaxValue
-    val tree = new SpanningTree(root)
+    val tree = new Tree(root)
     root.tree = tree
     tree
   })
-  private val coalescer  = new Coalescer
   private val nodeExpiry = new ExpiryWheel[TNode]
   private val edgeExpiry = new ExpiryWheel[EdgeRec]
   private val frontier   = new Frontier
@@ -87,37 +127,48 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
     if (l < 0) return // no DFA transition reads this label
 
     // 1. Maintain the windowed adjacency (coalescing on max expiry).
-    val adj = adjacency.getOrElseUpdate(t.src, new Adj)
-    val k   = PathForest.key(t.trg, l)
-    val rec = adj.byKey.getOrNull(k)
-    if (rec == null) {
-      val r = new EdgeRec(t.src, t.trg, l, t.ts, t.exp)
-      r.pos = adj.out.length
-      adj.out += r
-      adj.byKey(k) = r
-      edgeExpiry.schedule(t.exp, r)
-    } else {
-      if (t.exp > rec.exp) rec.exp = t.exp
-      if (t.ts < rec.ts) rec.ts = t.ts
-    }
+    val rec = addEdge(t, l)
 
     // 2. Alg. S-PATH main loop: for every DFA transition on this label,
     //    every tree holding (src, s) whose segment is still valid
-    //    (ExpandableTrees) gets a frame for the edge. The inverted set is
-    //    iterated in place: seeding only reads it, and the search below
-    //    only adds nodes to trees that already hold (src, s); removals
-    //    happen only in `advance`.
+    //    (ExpandableTrees) gets a frame for the edge, unless the frame
+    //    could not improve its target. The inverted set is iterated in
+    //    place: seeding only reads it, and the search below only adds
+    //    nodes to trees that already hold (src, s); removals happen only
+    //    in `advance`.
     var s = 0
     while (s < dfa.nStates) {
       val q = dfa.step(s, l)
       if (q >= 0) forest.treesFrom(t.src, s).foreach { tree =>
         val un = tree(t.src, s)
-        if (un.exp > t.ts)
-          frontier.push(un, t.trg, q, l, math.max(t.ts, un.ts), math.min(t.exp, un.exp))
+        if (un.exp > t.ts) {
+          val exp    = math.min(t.exp, un.exp)
+          val target = tree.getOrNull(t.trg, q)
+          if (target == null || target.exp < exp)
+            frontier.push(un, rec, q, target, math.max(t.ts, un.ts), exp)
+        }
       }
       s += 1
     }
     search(now = t.ts)
+  }
+
+  /** The adjacency entry of `t` (label id `l`), created or extended. */
+  private def addEdge(t: Sgt, l: Int): EdgeRec = {
+    val adj = adjacency.getOrElseUpdate(t.src, new Adj)
+    val k   = PathForest.key(t.trg, l)
+    val rec = adj.byKey.getOrNull(k)
+    if (rec != null) {
+      if (t.exp > rec.exp) rec.exp = t.exp
+      if (t.ts < rec.ts) rec.ts = t.ts
+      return rec
+    }
+    val r = new EdgeRec(Edge(t.src, t.trg, dfa.labels(l)), l, t.ts, t.exp)
+    r.pos = adj.out.length
+    adj.out += r
+    adj.byKey(k) = r
+    edgeExpiry.schedule(t.exp, r)
+    r
   }
 
   /** Expand / Propagate over the frontier, widest candidate first. */
@@ -127,34 +178,37 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
       val i = f.pop()
       traversalSteps += 1
       val parent  = f.parent(i)
+      val edge    = f.edge(i).edge
       val tree    = parent.tree
-      val v       = f.v(i)
+      val v       = edge.trg
       val s       = f.s(i)
       val candTs  = f.ts(i)
       val candExp = f.exp(i)
-      val node    = tree.getOrNull(v, s)
+      // A target present at push time is still there: only `advance`
+      // removes nodes.
+      val node    = if (f.target(i) != null) f.target(i) else tree.getOrNull(v, s)
       if (node == null) { // Alg. Expand: new leaf under `parent`.
         if (candTs < candExp) {
           val n = new TNode(v, s)
           n.tree = tree
-          n.attach(parent, dfa.labels(f.label(i)))
+          n.witness = new PathCell(edge, parent.witness)
           n.ts = candTs; n.exp = candExp
           tree.add(n)
           forest.index(v, s, tree)
           nodeExpiry.schedule(candExp, n)
-          if (dfa.isFinal(s)) emitResult(tree, n, withPath = true)
+          if (dfa.isFinal(s)) {
+            n.result = tree.acquire(v)
+            emitResult(n)
+          }
           pushNeighbours(n, now)
         }
       } else if (node.exp < candExp) { // Alg. Propagate: better segment.
-        // Labels come interned from `dfa.labels`, so compare references.
-        val lbl = dfa.labels(f.label(i))
-        val structural = (node.parent ne parent) || (node.parentEdge.label ne lbl)
-        if (structural) node.attach(parent, lbl)
+        // The parent may have been re-routed since `node` was derived, so
+        // the witness is rebuilt even when the parent edge is the same.
+        node.witness = new PathCell(edge, parent.witness)
         node.ts = math.min(node.ts, candTs)
         node.exp = candExp // stays in its bucket; advance re-checks it
-        // Pure interval refreshes re-report the same path: emit the
-        // extension without re-materializing the unchanged payload.
-        if (dfa.isFinal(s)) emitResult(tree, node, withPath = structural)
+        if (node.result != null) emitResult(node)
         pushNeighbours(node, now)
       } // else: stale, or covered by a segment with a larger expiry
     }
@@ -176,68 +230,85 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
         val q = dfa.step(node.s, rec.label)
         if (q >= 0) {
           val exp   = math.min(node.exp, rec.exp)
-          val child = node.tree.getOrNull(rec.trg, q)
+          val child = node.tree.getOrNull(rec.edge.trg, q)
           if (child == null || child.exp < exp)
-            frontier.push(node, rec.trg, q, rec.label, math.max(rec.ts, node.ts), exp)
+            frontier.push(node, rec, q, child, math.max(rec.ts, node.ts), exp)
         }
       }
       i += 1
     }
   }
 
-  private def emitResult(tree: Tree, node: TNode, withPath: Boolean): Unit = {
-    val path = if (withPath) node.path else Nil
-    val out  = Sgt(tree.rootV, node.v, outLabel, node.ts, node.exp, path)
-    coalescer.offer(Delta(out, 1)).foreach(emit)
+  /** Emits final-state node `n`'s result, coalesced (Def. 11) with what
+    * its entry already emitted, exactly as a [[Coalescer]] would: nothing
+    * if the entry covers `n`'s expiry, else the interval extended when
+    * the two overlap or touch, else `n`'s own interval.
+    */
+  private def emitResult(n: TNode): Unit = {
+    val r = n.result
+    if (n.exp <= r.exp) return
+    r.ts = if (math.max(r.ts, n.ts) <= r.exp) math.min(r.ts, n.ts) else n.ts
+    r.exp = n.exp
+    emit(Delta(Sgt(n.tree.rootV, n.v, outLabel, r.ts, r.exp, n.witness), 1))
   }
 
   /** Direct window maintenance: pops the tree nodes and adjacency
     * entries whose bucket came due. An entry refreshed since it was
-    * scheduled moves to its new expiry. An expired node takes its
-    * subtree with it (child expiry never exceeds parent expiry, so that
-    * subtree has expired too), and a tree whose root loses its last child
-    * goes. No graph traversal is needed — the point of the direct approach.
+    * scheduled moves to its new expiry; an expired one goes, and a tree
+    * goes with its last node but the root. An expired node's whole
+    * subtree has expired too (a node's expiry never exceeds its parent's)
+    * and each of its nodes sits in a bucket keyed at most at its expiry,
+    * so the subtree comes due in the same `advance`, node by node. No
+    * graph traversal is needed — the point of the direct approach.
     */
   override def advance(now: Long): Unit = {
-    for (n <- nodeExpiry.due(now) if n.parent != null) {
-      if (n.exp > now) nodeExpiry.schedule(n.exp, n)
-      else {
-        dropSubtree(n)
-        if (n.tree.root.children.isEmpty) forest.removeTree(n.tree)
+    var nodes = nodeExpiry.nextDue(now)
+    while (nodes != null) {
+      var i = 0
+      while (i < nodes.length) {
+        val n = nodes(i)
+        if (n.exp > now) nodeExpiry.schedule(n.exp, n) else drop(n)
+        i += 1
       }
+      nodes = nodeExpiry.nextDue(now)
     }
-    for (rec <- edgeExpiry.due(now)) {
-      if (rec.exp > now) edgeExpiry.schedule(rec.exp, rec)
-      else removeEdge(rec)
+    var recs = edgeExpiry.nextDue(now)
+    while (recs != null) {
+      var i = 0
+      while (i < recs.length) {
+        val rec = recs(i)
+        if (rec.exp > now) edgeExpiry.schedule(rec.exp, rec)
+        else removeEdge(rec)
+        i += 1
+      }
+      recs = edgeExpiry.nextDue(now)
     }
-    coalescer.purge(now)
   }
 
   /** Swap-remove `rec` from its source's entries: the last entry takes
     * its slot.
     */
   private def removeEdge(rec: EdgeRec): Unit = {
-    val adj  = adjacency(rec.src)
+    val src  = rec.edge.src
+    val adj  = adjacency(src)
     val out  = adj.out
     val last = out(out.length - 1)
     out(rec.pos) = last
     last.pos = rec.pos
     out.dropRightInPlace(1)
-    adj.byKey.remove(PathForest.key(rec.trg, rec.label))
-    if (out.isEmpty) adjacency.remove(rec.src)
+    adj.byKey.remove(PathForest.key(rec.edge.trg, rec.label))
+    if (out.isEmpty) adjacency.remove(src)
   }
 
-  private def dropSubtree(n: TNode): Unit = {
-    n.detach()
-    val stack = mutable.Stack(n)
-    while (stack.nonEmpty) {
-      val m = stack.pop()
-      m.tree.remove(m)
-      forest.unindex(m.v, m.s, m.tree)
-      m.parent = null
-      stack.pushAll(m.children)
-      m.children.clear()
-    }
+  /** Removes expired node `n` from its tree, releasing its result entry,
+    * and the tree once only its root is left.
+    */
+  private def drop(n: TNode): Unit = {
+    val tree = n.tree
+    tree.remove(n)
+    forest.unindex(n.v, n.s, tree)
+    if (n.result != null) tree.release(n.v, n.result)
+    if (tree.size == 1) forest.removeTree(tree)
   }
 
   /** State-size metric: total tree nodes resident in Δ-PATH. */
@@ -245,9 +316,10 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
 
   /** The Expand/Propagate frontier of one arriving edge: a binary
     * max-heap of frame ids keyed by candidate expiry, over frames kept in
-    * parallel arrays. A frame `(parent, v, s, label)` offers `(v, s)` the
-    * segment through `parent` and a `label` edge, valid on `[ts, exp)`
-    * with `exp = min(edge exp, parent exp)`, fixed when it is pushed.
+    * parallel arrays. A frame `(parent, edge, s)` offers `(edge.trg, s)`
+    * the segment through `parent` and the adjacency entry `edge`, valid
+    * on `[ts, exp)` with `exp = min(edge exp, parent exp)`, fixed when it
+    * is pushed. It also keeps its `target` node if one existed then.
     *
     * Pops come in non-increasing `exp`: a path's expiry is the minimum
     * over its edges, so a frame pushed from a popped node never has a
@@ -264,9 +336,9 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
   private final class Frontier {
     private var cap  = 64
     var parent       = new Array[TNode](cap)
-    var v            = new Array[Long](cap)
+    var edge         = new Array[EdgeRec](cap)
+    var target       = new Array[TNode](cap)
     var s            = new Array[Int](cap)
-    var label        = new Array[Int](cap)
     var ts           = new Array[Long](cap)
     var exp          = new Array[Long](cap)
     private var heap = new Array[Int](cap)
@@ -278,11 +350,11 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
 
     def nonEmpty: Boolean = topSize > 0 || heapSize > 0
 
-    def push(p: TNode, w: Long, q: Int, l: Int, fTs: Long, fExp: Long): Unit = {
+    def push(p: TNode, e: EdgeRec, q: Int, t: TNode, fTs: Long, fExp: Long): Unit = {
       if (frames == cap) grow()
       val id = frames
       frames += 1
-      parent(id) = p; v(id) = w; s(id) = q; label(id) = l; ts(id) = fTs; exp(id) = fExp
+      parent(id) = p; edge(id) = e; s(id) = q; target(id) = t; ts(id) = fTs; exp(id) = fExp
       if (fExp == topKey) {
         top(topSize) = id
         topSize += 1
@@ -325,6 +397,8 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
 
     def clear(): Unit = {
       java.util.Arrays.fill(parent.asInstanceOf[Array[AnyRef]], 0, frames, null)
+      java.util.Arrays.fill(edge.asInstanceOf[Array[AnyRef]], 0, frames, null)
+      java.util.Arrays.fill(target.asInstanceOf[Array[AnyRef]], 0, frames, null)
       frames = 0
       heapSize = 0
       topSize = 0
@@ -334,9 +408,9 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
     private def grow(): Unit = {
       cap *= 2
       parent = java.util.Arrays.copyOf(parent, cap)
-      v      = java.util.Arrays.copyOf(v, cap)
+      edge   = java.util.Arrays.copyOf(edge, cap)
+      target = java.util.Arrays.copyOf(target, cap)
       s      = java.util.Arrays.copyOf(s, cap)
-      label  = java.util.Arrays.copyOf(label, cap)
       ts     = java.util.Arrays.copyOf(ts, cap)
       exp    = java.util.Arrays.copyOf(exp, cap)
       heap   = java.util.Arrays.copyOf(heap, cap)

@@ -3,7 +3,7 @@ package repro.physical
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{Dfa, SgaExpr}
-import repro.core.Model.Sge
+import repro.core.Model.{Edge, Sge, Sgt}
 import repro.engine.Engine
 import repro.streams.Workloads
 import repro.util.{BruteForce, PropertyChecks}
@@ -16,7 +16,8 @@ import scala.collection.mutable
   * and with several labels, states and final states; Q5 covers PATTERN.
   * At every slide boundary the answers equal the brute-force snapshot,
   * and after every `advance(now)` the resident state is exactly what a
-  * brute-force count of the entries valid past `now` gives. The same
+  * brute-force count of the entries valid past `now` gives, and every
+  * S-PATH result carries a path that witnesses it. The same
   * streams check PATTERN (Q5) and PATH over PATTERN (Q8) in the
   * negative-tuple and differential modes against brute force.
   */
@@ -125,12 +126,49 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
     }))
   }
 
+  /** Why the path of PATH result `r` is not a witness, if it is not: a
+    * witness is a non-empty path from `r.src` to `r.trg` whose edges
+    * connect end to end, spell a word that `dfa` accepts, and are all in
+    * `ingested` (each edge ingested so far, to its largest WSCAN expiry)
+    * with an expiry of at least `r.exp`.
+    */
+  private def notWitness(dfa: Dfa, ingested: collection.Map[Edge, Long], r: Sgt): Option[String] = {
+    val path = r.path
+    if (path.isEmpty) Some("empty path")
+    else if (path.head.src != r.src || path.last.trg != r.trg) Some("path does not run from src to trg")
+    else if (path.zip(path.tail).exists { case (e, f) => e.trg != f.src }) Some("edges do not connect")
+    else if (!path.foldLeft(Option(dfa.start))((s, e) => s.flatMap(dfa.delta(_, e.label))).exists(dfa.finals))
+      Some("word not accepted")
+    else path.find(e => ingested.get(e).forall(_ < r.exp)).map(e => s"$e is not ingested valid until ${r.exp}")
+  }
+
+  for (q <- Seq("Q1", "Q2", "Q3"))
+    test(s"property: every $q S-PATH result carries a witness path of live ingested edges") {
+      checkProp(Prop.forAll(genCase) { c =>
+        val expr     = Workloads.expr(q, binding, c.window, c.slide)
+        val path     = expr.asInstanceOf[SgaExpr.Path]
+        val dfa      = Dfa.fromRegex(path.regex)
+        val wscan    = path.ins.head.asInstanceOf[SgaExpr.Wscan] // all inputs share |W| and β
+        val df       = PhysicalExec.build(expr, Mode.Direct)
+        val ingested = mutable.HashMap.empty[Edge, Long]
+        var failure  = Option.empty[String]
+        var next     = 0L // the next slide start to advance to
+        for (e <- c.stream if failure.isEmpty && df.relevantLabels(e.label)) {
+          while (next <= e.ts) { df.advance(next); next += c.slide }
+          val edge = Edge(e.src, e.trg, e.label)
+          ingested(edge) = ingested.getOrElse(edge, Long.MinValue).max(wscan.expiryOf(e.ts))
+          df.ingest(e)
+          failure = df.drain().iterator.map(_.sgt)
+            .flatMap(r => notWitness(dfa, ingested, r).map(why => s"$q: $why in $r"))
+            .nextOption()
+        }
+        Prop(failure.isEmpty) :| s"${failure.getOrElse("")}; $c"
+      })
+    }
+
   for (q <- Seq("Q5", "Q8"); mode <- Seq(Mode.NegativeTuple, Mode.Differential))
     test(s"property: $q in $mode mode equals brute force at every slide boundary") {
-      checkProp(Prop.forAll(genCase) { g =>
-        // Negative tuples expire at slide boundaries, so a slide's last
-        // instant sees the exact window only when |W| is a multiple of β.
-        val c    = g.copy(window = g.window / g.slide * g.slide)
+      checkProp(Prop.forAll(genCase) { c =>
         val expr = Workloads.expr(q, binding, c.window, c.slide)
         // Deletions flow only while slides fire: up to the slide of the
         // last relevant edge.
@@ -140,4 +178,11 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
         Prop(failure.isEmpty) :| s"${failure.getOrElse("")}; $c"
       })
     }
+
+  test("negative-tuple modes reject a window shorter than its slide") {
+    val expr = Workloads.expr("Q5", binding, 2, 5)
+    for (mode <- Seq(Mode.NegativeTuple, Mode.Differential))
+      intercept[IllegalArgumentException](PhysicalExec.build(expr, mode))
+    PhysicalExec.build(expr, Mode.Direct) // no deletions to schedule
+  }
 }

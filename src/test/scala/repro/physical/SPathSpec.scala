@@ -130,6 +130,37 @@ class SPathSpec extends AnyFunSuite {
     assert(xv.path == List(Edge(x, y, "a"), Edge(y, z, "b"), Edge(z, u, "a"), Edge(u, v, "b")))
   }
 
+  test("an interval refresh after an ancestor is re-routed carries the new witness") {
+    val (n, sink) = mkNode()
+    val (a, b, c) = (10L, 11L, 12L)
+    // x→a→b is valid until 10. x→c→a re-routes (a,1) until 50, which
+    // refreshes its child (b,1) under the same parent edge a→b.
+    feed(n, sgt(x, a, "RL", 1, 10), sgt(a, b, "RL", 2, 50), sgt(x, c, "RL", 3, 50),
+            sgt(c, a, "RL", 4, 50))
+    val xb = sink.map(_.sgt).filter(_.key == (x, b, "RLP"))
+    assert(xb.map(r => (r.ts, r.exp)) == Seq((2L, 10L), (2L, 50L)))
+    assert(xb.head.path == List(Edge(x, a, "RL"), Edge(a, b, "RL")))
+    // x→a expires at 10, so the refresh must not report the old path.
+    assert(xb.last.path == List(Edge(x, c, "RL"), Edge(c, a, "RL"), Edge(a, b, "RL")))
+    assert(xb.last.path.length == 3 && xb.last.path(1) == Edge(c, a, "RL"))
+  }
+
+  test("two fresh operators fed the same stream do the same work") {
+    // Trees are iterated through hash sets; the search, and so its step
+    // count and witnesses, must not depend on object identity.
+    val rnd   = new scala.util.Random(7)
+    val edges = (0 until 1500).map(i => sgt(rnd.nextInt(40), rnd.nextInt(40), "RL", i / 3, i / 3 + 60))
+    def run(): (Long, Seq[Sgt]) = {
+      val (n, sink) = mkNode()
+      edges.grouped(30).zipWithIndex.foreach { case (batch, i) => n.advance(i * 10L); feed(n, batch: _*) }
+      (n.traversalSteps, sink.map(_.sgt).toList)
+    }
+    val (steps1, out1) = run()
+    val (steps2, out2) = run()
+    assert(steps1 == steps2)
+    assert(out1 == out2)
+  }
+
   test("duplicate edges with extended validity coalesce in the adjacency") {
     val (n, sink) = mkNode()
     feed(n, sgt(x, y, "RL", 1, 10), sgt(x, y, "RL", 5, 20))
