@@ -47,7 +47,7 @@ final case class Delta(sgt: Sgt, sign: Int) {
 abstract class Node {
   var parent: Node = _
   var slotInParent: Int = -1
-  var sink: mutable.Buffer[Delta] = _
+  var sink: mutable.Growable[Delta] = _
 
   protected final def emit(d: Delta): Unit =
     if (parent != null) parent.receive(d, slotInParent) else if (sink != null) sink += d

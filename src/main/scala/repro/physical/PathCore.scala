@@ -129,18 +129,21 @@ class SpanningTree[N <: PathNode](val root: N) extends PathForest.Tree {
 
   def apply(v: Long, s: Int): N = nodes(PathForest.key(v, s))
   def get(v: Long, s: Int): Option[N] = nodes.get(PathForest.key(v, s))
-  /** [[get]] without the `Option`: the node, or null. */
-  def getOrNull(v: Long, s: Int): N = nodes.getOrNull(PathForest.key(v, s))
   def contains(v: Long, s: Int): Boolean = nodes.contains(PathForest.key(v, s))
   def add(n: N): Unit = nodes(PathForest.key(n.v, n.s)) = n
   def remove(n: N): Unit = nodes.remove(PathForest.key(n.v, n.s))
 }
 
-/** Δ-PATH (Def. 22) shared by the three PATH operators: one tree per
-  * root vertex, created when an edge leaves the root in the DFA's start
-  * state, and a hash-based inverted index from `(vertex, state)` to the
-  * trees holding it. Generic over each operator's tree type; the
-  * operator maintains tree contents and keeps the index in step.
+/** Δ-PATH (Def. 22) of the negative-tuple PATH operators ([[NtPathNode]],
+  * [[DdPathNode]]): one tree per root vertex, created when an edge leaves
+  * the root in the DFA's start state, and a hash-based inverted index
+  * from `(vertex, state)` to the trees holding it. Generic over each
+  * operator's tree type; the operator maintains tree contents and keeps
+  * the index in step.
+  *
+  * [[SPathNode]] keeps its own Δ-PATH over dense vertex ids, which it can
+  * recycle because it only inserts between slides and expires by
+  * timestamp; these operators delete tuples at arbitrary times.
   */
 final class PathForest[T <: PathForest.Tree](dfa: Dfa, newTree: Long => T) {
   require(dfa.nStates <= PathForest.MaxStates, s"DFA has ${dfa.nStates} states, at most ${PathForest.MaxStates} fit a key")
@@ -153,8 +156,8 @@ final class PathForest[T <: PathForest.Tree](dfa: Dfa, newTree: Long => T) {
   def treesWith(v: Long, s: Int): List[T] =
     inverted.get(PathForest.key(v, s)).fold(List.empty[T])(_.toList)
 
-  /** The trees an edge out of `v` can expand from state `s` (Alg. S-PATH
-    * line 7), after creating `v`'s tree if `s` is the start state.
+  /** The trees an edge out of `v` can expand from state `s`, after
+    * creating `v`'s tree if `s` is the start state.
     *
     * This is the live index set, not a copy. An insertion may expand the
     * trees while iterating it: it only adds nodes to a tree of the set,
@@ -205,8 +208,7 @@ object PathForest {
   private val MaxStates = 1 << StateBits
 
   /** `(vertex, state)` packed into one unboxed key: the vertex in the
-    * high 48 bits (signed), the DFA state in the low 16. S-PATH packs
-    * `(vertex, label id)` the same way.
+    * high 48 bits (signed), the DFA state in the low 16.
     */
   def key(v: Long, s: Int): Long = {
     require((v << StateBits >> StateBits) == v, s"vertex id $v does not fit in ${64 - StateBits} bits")

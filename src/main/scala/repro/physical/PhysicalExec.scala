@@ -2,6 +2,7 @@ package repro.physical
 
 import repro.core.SgaExpr
 import repro.core.Model.{Sge, Sgt}
+import scala.collection.immutable.VectorBuilder
 import scala.collection.mutable
 
 /** Compiles an [[SgaExpr]] into a physical dataflow of incremental
@@ -64,7 +65,7 @@ object PhysicalExec {
   * window slides, and collects the signed result stream at the root.
   */
 final class Dataflow(val root: Node, val sources: List[WscanNode], val nodes: List[Node]) {
-  val out = mutable.ArrayBuffer.empty[Delta]
+  private var out = new VectorBuilder[Delta]
   root.sink = out
 
   private val byLabel: Map[String, List[WscanNode]] = sources.groupBy(_.label)
@@ -83,8 +84,15 @@ final class Dataflow(val root: Node, val sources: List[WscanNode], val nodes: Li
     */
   def advance(now: Long): Unit = nodes.foreach(_.advance(now))
 
-  /** Drain results accumulated since the last call. */
-  def drain(): Seq[Delta] = { val r = out.toList; out.clear(); r }
+  /** Drain results accumulated since the last call: the sink's contents
+    * are handed over as they are, and a fresh sink takes their place.
+    */
+  def drain(): Seq[Delta] = {
+    val r = out.result()
+    out = new VectorBuilder[Delta]
+    root.sink = out
+    r
+  }
 
   /** Total operator state (tuples/tree nodes) across stateful nodes. */
   def stateSize: Long = nodes.iterator.map(_.stateSize).sum

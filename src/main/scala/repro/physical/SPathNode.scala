@@ -2,6 +2,7 @@ package repro.physical
 
 import repro.core.{Dfa, Regex}
 import repro.core.Model.{Edge, Sgt}
+import java.util.Arrays
 import scala.collection.mutable
 
 /** PATH (Def. 20) via the paper's S-PATH algorithm (§6.2) — the *direct*
@@ -9,15 +10,30 @@ import scala.collection.mutable
   * intervals, so expirations are located directly from expiry timestamps
   * and never require re-derivation traversals.
   *
-  * State:
+  * State, over dense vertex ids (vids) that the operator assigns itself:
   *  - a DFA for the PATH regex (Alg. S-PATH line 1), over dense label
   *    ids; an edge whose label is outside its alphabet is dropped;
+  *  - the vid of every vertex that a live adjacency entry touches, with
+  *    a count of those entries; a vid is recycled once its count drops
+  *    to 0;
   *  - a windowed adjacency index of currently-valid input sgts, used by
-  *    Expand/Propagate to traverse the snapshot graph: per source, an
-  *    array of entries plus a map from `(trg, label id)` to its entry;
-  *  - Δ-PATH (Def. 22): one spanning tree per discovered root vertex,
-  *    with a hash-based inverted index from `(vertex, state)` pairs to
-  *    the trees containing them.
+  *    Expand/Propagate to traverse the snapshot graph: per source vid, an
+  *    array of entries plus a map from `(trg vid, label id)` to its entry;
+  *  - Δ-PATH (Def. 22): one spanning tree per root vid, each holding its
+  *    nodes in a table on the dense key `vid * nStates + s`, and an
+  *    inverted index from each dense key to the nodes at `(v, s)` across
+  *    all trees.
+  *
+  * Every probe of the search is thus an array index. A tree's table is
+  * sized by the tree, never by the number of vertices, so memory stays
+  * O(live nodes + live vertices).
+  *
+  * Recycling a vid is safe because S-PATH only inserts between
+  * `advance`s and expires by timestamp: `advance` drops nodes before
+  * adjacency entries, and a node's expiry never exceeds the expiry of
+  * the entry that last derived it (entries coalesce on max expiry). So
+  * when the last entry touching a vertex expires, none of that vertex's
+  * nodes is left, and a new vertex that takes the vid inherits nothing.
   *
   * Each tree node `(v, s)` stores the path segment from the root with the
   * *largest expiry* among all equivalent segments (coalesce with
@@ -42,75 +58,139 @@ import scala.collection.mutable
   */
 final class SPathNode(regex: Regex, outLabel: String) extends Node {
   val dfa: Dfa = Dfa.fromRegex(regex)
+  private val nStates = dfa.nStates
+  private val nLabels = dfa.labels.length
+  private val finals  = (0 until nStates).filter(dfa.isFinal).toArray
+  private final val MinTable = 4 // slots of a tree's node table, at least
 
-  /** A tree node. It keeps no parent or child links: its witness names
-    * the edges that derive it, and expiry finds it through the wheel.
-    * Roots never expire.
+  /** A tree node at vertex `v` (vid `vid`) in DFA state `s`. It keeps no
+    * parent or child links: its witness names the edges that derive it,
+    * and expiry finds it through the wheel. Roots never expire.
     */
-  private final class TNode(v: Long, s: Int) extends PathNode(v, s) {
-    var tree: Tree = _
+  private final class TNode(v: Long, s: Int, val vid: Int, val tree: Tree) extends PathNode(v, s) {
+    /** The dense key `(vid, s)`. */
+    val key: Int = vid * nStates + s
     var ts: Long = 0L
     var exp: Long = 0L
     /** The path from the root that last derived this node; null at roots. */
     var witness: PathCell = _
     /** The result entry of `(tree.rootV, v)` if `s` is final, else null. */
     var result: Result = _
+    /** This node's slot in the inverted index's list at `key`. */
+    var slot: Int = 0
   }
 
   /** The coalesced result `(root, v)` of one tree: the interval last
-    * emitted, and how many final-state nodes of `v` share the entry. Its
-    * `exp` is the largest expiry emitted, so the entry is live exactly
-    * while one of those nodes is.
+    * emitted. The final-state nodes of `v` in the tree share it and are
+    * its only holders, so it lives exactly as long as one of them does.
+    * Its `exp` is the largest expiry emitted.
     */
   private final class Result {
     var ts: Long  = 0L
     var exp: Long = Long.MinValue // nothing emitted yet
-    var refs: Int = 0
   }
 
-  private final class Tree(root: TNode) extends SpanningTree[TNode](root) {
-    private val results = mutable.LongMap.empty[Result]
-
-    /** The result entry of `v`, taken by one more final-state node. */
-    def acquire(v: Long): Result = {
-      var r = results.getOrNull(v)
-      if (r == null) { r = new Result; results(v) = r }
-      r.refs += 1
-      r
-    }
-
-    /** Gives up a final-state node's share of the entry of `v`. */
-    def release(v: Long, r: Result): Unit = {
-      r.refs -= 1
-      if (r.refs == 0) results.remove(v)
-    }
-  }
-
-  /** An adjacency entry: a graph edge, its label's dense id and its
-    * validity, coalesced on max expiry. The `Edge` is made once and shared
-    * by every witness derived through it; `pos` is the entry's slot in
-    * its source's [[Adj.out]].
+  /** The spanning tree of root `(rootV, start)`. Its nodes sit in an
+    * open-addressing table on their dense key: identity hash
+    * (`key & mask`), linear probing, load at most ½, and backward-shift
+    * deletion (Knuth, TAOCP vol. 3, §6.4, Algorithm R), so no tombstones
+    * build up. A tree that is dense in the vid space is in effect a
+    * direct-mapped array. The table doubles above load ½ and halves
+    * below ⅛, so it is sized by the tree, never by the vertex count.
     */
-  private final class EdgeRec(val edge: Edge, val label: Int, var ts: Long, var exp: Long) {
+  private final class Tree(rootVid: Int, val rootV: Long) {
+    private var table = new Array[TNode](MinTable)
+    var size: Int = 0
+    val root = new TNode(rootV, dfa.start, rootVid, this)
+    root.exp = Long.MaxValue
+    add(root)
+
+    def capacity: Int = table.length
+
+    /** The node with dense key `key`, or null. */
+    def get(key: Int): TNode = {
+      val t    = table
+      val mask = t.length - 1
+      var i    = key & mask
+      var n    = t(i)
+      while (n != null && n.key != key) { i = (i + 1) & mask; n = t(i) }
+      n
+    }
+
+    def add(n: TNode): Unit = {
+      if (2 * (size + 1) > table.length) rehash(2 * table.length)
+      place(table, n)
+      size += 1
+    }
+
+    def remove(n: TNode): Unit = {
+      val t    = table
+      val mask = t.length - 1
+      var hole = n.key & mask
+      while (t(hole) ne n) hole = (hole + 1) & mask
+      // Algorithm R: a later node of the probe run moves into the hole
+      // unless its home slot lies cyclically in (hole, j].
+      t(hole) = null
+      var j = (hole + 1) & mask
+      var m = t(j)
+      while (m != null) {
+        val home = m.key & mask
+        val stays = if (hole <= j) hole < home && home <= j else hole < home || home <= j
+        if (!stays) { t(hole) = m; t(j) = null; hole = j }
+        j = (j + 1) & mask
+        m = t(j)
+      }
+      size -= 1
+      if (8 * size < t.length && t.length > MinTable) rehash(t.length / 2)
+    }
+
+    private def place(t: Array[TNode], n: TNode): Unit = {
+      val mask = t.length - 1
+      var i    = n.key & mask
+      while (t(i) != null) i = (i + 1) & mask
+      t(i) = n
+    }
+
+    private def rehash(cap: Int): Unit = {
+      val old = table
+      table = new Array[TNode](cap)
+      var i = 0
+      while (i < old.length) { if (old(i) != null) place(table, old(i)); i += 1 }
+    }
+  }
+
+  /** An adjacency entry: a graph edge, the vids of its ends, its label's
+    * dense id and its validity, coalesced on max expiry. The `Edge` is
+    * made once and shared by every witness derived through it; `pos` is
+    * the entry's slot in its source's [[Adj.out]].
+    */
+  private final class EdgeRec(val edge: Edge, val srcVid: Int, val trgVid: Int, val label: Int,
+                              var ts: Long, var exp: Long) {
     var pos: Int = 0
+    /** The entry's key in its source's [[Adj.byKey]]. */
+    def key: Long = trgVid.toLong * nLabels + label
   }
 
   /** The valid out-edges of one source: iterated by index, deduplicated
-    * on `PathForest.key(trg, label)`, removed by swap-remove.
+    * on [[EdgeRec.key]], removed by swap-remove.
     */
   private final class Adj {
     val out   = mutable.ArrayBuffer.empty[EdgeRec]
     val byKey = mutable.LongMap.empty[EdgeRec]
   }
 
-  private val adjacency = mutable.LongMap.empty[Adj]
-  private val forest = new PathForest[Tree](dfa, rootV => {
-    val root = new TNode(rootV, dfa.start)
-    root.exp = Long.MaxValue
-    val tree = new Tree(root)
-    root.tree = tree
-    tree
-  })
+  // Per vid; the arrays grow together. The inverted index holds the
+  // `nStates` lists of a vid from `vid * nStates` on.
+  private val vids     = mutable.LongMap.empty[Int]
+  private val freeVids = mutable.Stack.empty[Int]
+  private var nVids    = 0 // vids ever handed out, live or free
+  private var touching = new Array[Int](64)  // adjacency entries touching the vid
+  private var adjOf    = new Array[Adj](64)  // its out-edges, or null
+  private var treeOf   = new Array[Tree](64) // the tree rooted at it, or null
+  private var invNodes = new Array[Array[TNode]](64 * nStates)
+  private var invSize  = new Array[Int](64 * nStates)
+  private var liveNodes = 0L
+
   private val nodeExpiry = new ExpiryWheel[TNode]
   private val edgeExpiry = new ExpiryWheel[EdgeRec]
   private val frontier   = new Frontier
@@ -130,22 +210,29 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
     val rec = addEdge(t, l)
 
     // 2. Alg. S-PATH main loop: for every DFA transition on this label,
-    //    every tree holding (src, s) whose segment is still valid
-    //    (ExpandableTrees) gets a frame for the edge, unless the frame
-    //    could not improve its target. The inverted set is iterated in
-    //    place: seeding only reads it, and the search below only adds
-    //    nodes to trees that already hold (src, s); removals happen only
-    //    in `advance`.
+    //    every node at (src, s) whose segment is still valid
+    //    (ExpandableTrees) gets a frame for the edge in its tree, unless
+    //    the frame could not improve its target. Seeding only reads the
+    //    inverted lists; the search after it adds nodes.
+    val srcBase = rec.srcVid * nStates
+    val trgBase = rec.trgVid * nStates
     var s = 0
-    while (s < dfa.nStates) {
+    while (s < nStates) {
       val q = dfa.step(s, l)
-      if (q >= 0) forest.treesFrom(t.src, s).foreach { tree =>
-        val un = tree(t.src, s)
-        if (un.exp > t.ts) {
-          val exp    = math.min(t.exp, un.exp)
-          val target = tree.getOrNull(t.trg, q)
-          if (target == null || target.exp < exp)
-            frontier.push(un, rec, q, target, math.max(t.ts, un.ts), exp)
+      if (q >= 0) {
+        if (s == dfa.start && treeOf(rec.srcVid) == null) newTree(rec.srcVid, t.src)
+        val nodes = invNodes(srcBase + s)
+        val n     = invSize(srcBase + s)
+        var i = 0
+        while (i < n) {
+          val un = nodes(i)
+          if (un.exp > t.ts) {
+            val exp    = math.min(t.exp, un.exp)
+            val target = un.tree.get(trgBase + q)
+            if (target == null || target.exp < exp)
+              frontier.push(un, rec, q, target, math.max(t.ts, un.ts), exp)
+          }
+          i += 1
         }
       }
       s += 1
@@ -155,20 +242,110 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
 
   /** The adjacency entry of `t` (label id `l`), created or extended. */
   private def addEdge(t: Sgt, l: Int): EdgeRec = {
-    val adj = adjacency.getOrElseUpdate(t.src, new Adj)
-    val k   = PathForest.key(t.trg, l)
+    val src = intern(t.src)
+    val trg = intern(t.trg)
+    var adj = adjOf(src)
+    if (adj == null) { adj = new Adj; adjOf(src) = adj }
+    val k   = trg.toLong * nLabels + l
     val rec = adj.byKey.getOrNull(k)
     if (rec != null) {
       if (t.exp > rec.exp) rec.exp = t.exp
       if (t.ts < rec.ts) rec.ts = t.ts
       return rec
     }
-    val r = new EdgeRec(Edge(t.src, t.trg, dfa.labels(l)), l, t.ts, t.exp)
+    val r = new EdgeRec(Edge(t.src, t.trg, dfa.labels(l)), src, trg, l, t.ts, t.exp)
     r.pos = adj.out.length
     adj.out += r
     adj.byKey(k) = r
+    touching(src) += 1
+    touching(trg) += 1
     edgeExpiry.schedule(t.exp, r)
     r
+  }
+
+  /** The vid of `v`, assigned on first sight: a recycled one if any. */
+  private def intern(v: Long): Int = {
+    val known = vids.getOrElse(v, -1)
+    if (known >= 0) return known
+    val vid =
+      if (freeVids.nonEmpty) freeVids.pop()
+      else {
+        if ((nVids + 1).toLong * nStates > Int.MaxValue)
+          throw new IllegalArgumentException(
+            s"S-PATH holds at most ${Int.MaxValue / nStates} vertices at once for a DFA of $nStates states")
+        if (nVids == touching.length) growVids()
+        nVids += 1
+        nVids - 1
+      }
+    vids(v) = vid
+    vid
+  }
+
+  private def growVids(): Unit = {
+    val cap = math.min(2L * touching.length, (Int.MaxValue / nStates).toLong).toInt
+    touching = Arrays.copyOf(touching, cap)
+    adjOf    = Arrays.copyOf(adjOf, cap)
+    treeOf   = Arrays.copyOf(treeOf, cap)
+    invNodes = Arrays.copyOf(invNodes, cap * nStates)
+    invSize  = Arrays.copyOf(invSize, cap * nStates)
+  }
+
+  /** One adjacency entry touching vertex `v` (vid `vid`) is gone; the vid
+    * is recycled with the last one. By then its nodes are gone too (see
+    * the class comment), except a root whose seed edge derived no node.
+    */
+  private def release(vid: Int, v: Long): Unit = {
+    touching(vid) -= 1
+    if (touching(vid) == 0) {
+      val tree = treeOf(vid)
+      if (tree != null) { assert(tree.size == 1); removeTree(tree) }
+      val base = vid * nStates
+      var s = 0
+      while (s < nStates) {
+        assert(invSize(base + s) == 0, "a node outlived every adjacency entry of its vertex")
+        invNodes(base + s) = null
+        s += 1
+      }
+      vids.remove(v)
+      freeVids.push(vid)
+    }
+  }
+
+  private def newTree(vid: Int, v: Long): Unit = {
+    val tree = new Tree(vid, v)
+    treeOf(vid) = tree
+    index(tree.root)
+    liveNodes += 1
+  }
+
+  private def removeTree(tree: Tree): Unit = {
+    treeOf(tree.root.vid) = null
+    unindex(tree.root)
+    liveNodes -= 1
+  }
+
+  /** Appends `n` to the inverted index's list at its key. */
+  private def index(n: TNode): Unit = {
+    val k    = n.key
+    val size = invSize(k)
+    var ns   = invNodes(k)
+    if (ns == null) { ns = new Array[TNode](4); invNodes(k) = ns }
+    else if (size == ns.length) { ns = Arrays.copyOf(ns, 2 * size); invNodes(k) = ns }
+    ns(size) = n
+    n.slot = size
+    invSize(k) = size + 1
+  }
+
+  /** Swap-removes `n` from its list: the last node takes its slot. */
+  private def unindex(n: TNode): Unit = {
+    val k    = n.key
+    val ns   = invNodes(k)
+    val last = invSize(k) - 1
+    val m    = ns(last)
+    ns(n.slot) = m
+    m.slot = n.slot
+    ns(last) = null
+    invSize(k) = last
   }
 
   /** Expand / Propagate over the frontier, widest candidate first. */
@@ -178,34 +355,31 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
       val i = f.pop()
       traversalSteps += 1
       val parent  = f.parent(i)
-      val edge    = f.edge(i).edge
+      val rec     = f.edge(i)
       val tree    = parent.tree
-      val v       = edge.trg
       val s       = f.s(i)
       val candTs  = f.ts(i)
       val candExp = f.exp(i)
       // A target present at push time is still there: only `advance`
       // removes nodes.
-      val node    = if (f.target(i) != null) f.target(i) else tree.getOrNull(v, s)
+      val node    = if (f.target(i) != null) f.target(i) else tree.get(rec.trgVid * nStates + s)
       if (node == null) { // Alg. Expand: new leaf under `parent`.
         if (candTs < candExp) {
-          val n = new TNode(v, s)
-          n.tree = tree
-          n.witness = new PathCell(edge, parent.witness)
+          val n = new TNode(rec.edge.trg, s, rec.trgVid, tree)
+          n.witness = new PathCell(rec.edge, parent.witness)
           n.ts = candTs; n.exp = candExp
+          if (dfa.isFinal(s)) n.result = resultOf(n)
           tree.add(n)
-          forest.index(v, s, tree)
+          index(n)
+          liveNodes += 1
           nodeExpiry.schedule(candExp, n)
-          if (dfa.isFinal(s)) {
-            n.result = tree.acquire(v)
-            emitResult(n)
-          }
+          if (n.result != null) emitResult(n)
           pushNeighbours(n, now)
         }
       } else if (node.exp < candExp) { // Alg. Propagate: better segment.
         // The parent may have been re-routed since `node` was derived, so
         // the witness is rebuilt even when the parent edge is the same.
-        node.witness = new PathCell(edge, parent.witness)
+        node.witness = new PathCell(rec.edge, parent.witness)
         node.ts = math.min(node.ts, candTs)
         node.exp = candExp // stays in its bucket; advance re-checks it
         if (node.result != null) emitResult(node)
@@ -215,14 +389,29 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
     f.clear()
   }
 
+  /** The result entry of final-state node `n`, not yet in its tree: the
+    * one another final-state node of `n.v` in the tree holds, else new.
+    */
+  private def resultOf(n: TNode): Result = {
+    val base = n.vid * nStates
+    var i = 0
+    while (i < finals.length) {
+      val other = n.tree.get(base + finals(i))
+      if (other != null) return other.result
+      i += 1
+    }
+    new Result
+  }
+
   /** Push a frame for every currently-valid out-edge of `node.v` that the
     * DFA can take from state `node.s` (the `G_ts` traversal of Expand
     * line 8) and that would improve its target.
     */
   private def pushNeighbours(node: TNode, now: Long): Unit = {
-    val adj = adjacency.getOrNull(node.v)
+    val adj = adjOf(node.vid)
     if (adj == null) return
-    val out = adj.out
+    val out  = adj.out
+    val tree = node.tree
     var i = 0
     while (i < out.length) {
       val rec = out(i)
@@ -230,7 +419,7 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
         val q = dfa.step(node.s, rec.label)
         if (q >= 0) {
           val exp   = math.min(node.exp, rec.exp)
-          val child = node.tree.getOrNull(rec.edge.trg, q)
+          val child = tree.get(rec.trgVid * nStates + q)
           if (child == null || child.exp < exp)
             frontier.push(node, rec, q, child, math.max(rec.ts, node.ts), exp)
         }
@@ -259,7 +448,8 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
     * subtree has expired too (a node's expiry never exceeds its parent's)
     * and each of its nodes sits in a bucket keyed at most at its expiry,
     * so the subtree comes due in the same `advance`, node by node. No
-    * graph traversal is needed — the point of the direct approach.
+    * graph traversal is needed — the point of the direct approach. Nodes
+    * go before entries, which the recycling of vids relies on.
     */
   override def advance(now: Long): Unit = {
     var nodes = nodeExpiry.nextDue(now)
@@ -285,34 +475,46 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
     }
   }
 
-  /** Swap-remove `rec` from its source's entries: the last entry takes
-    * its slot.
+  /** Swap-remove `rec` from its source's entries (the last entry takes
+    * its slot) and release the vids of its ends.
     */
   private def removeEdge(rec: EdgeRec): Unit = {
-    val src  = rec.edge.src
-    val adj  = adjacency(src)
+    val adj  = adjOf(rec.srcVid)
     val out  = adj.out
     val last = out(out.length - 1)
     out(rec.pos) = last
     last.pos = rec.pos
     out.dropRightInPlace(1)
-    adj.byKey.remove(PathForest.key(rec.edge.trg, rec.label))
-    if (out.isEmpty) adjacency.remove(src)
+    adj.byKey.remove(rec.key)
+    if (out.isEmpty) adjOf(rec.srcVid) = null
+    release(rec.srcVid, rec.edge.src)
+    release(rec.trgVid, rec.edge.trg)
   }
 
-  /** Removes expired node `n` from its tree, releasing its result entry,
-    * and the tree once only its root is left.
+  /** Removes expired node `n` from its tree and the inverted index, and
+    * the tree once only its root is left.
     */
   private def drop(n: TNode): Unit = {
     val tree = n.tree
     tree.remove(n)
-    forest.unindex(n.v, n.s, tree)
-    if (n.result != null) tree.release(n.v, n.result)
-    if (tree.size == 1) forest.removeTree(tree)
+    unindex(n)
+    liveNodes -= 1
+    if (tree.size == 1) removeTree(tree)
   }
 
   /** State-size metric: total tree nodes resident in Δ-PATH. */
-  override def stateSize: Long = forest.stateSize
+  override def stateSize: Long = liveNodes
+
+  /** Total slots of the trees' node tables. */
+  private[physical] def nodeTableCapacity: Long = {
+    var c = 0L
+    var vid = 0
+    while (vid < nVids) {
+      if (treeOf(vid) != null) c += treeOf(vid).capacity
+      vid += 1
+    }
+    c
+  }
 
   /** The Expand/Propagate frontier of one arriving edge: a binary
     * max-heap of frame ids keyed by candidate expiry, over frames kept in

@@ -17,9 +17,11 @@ import scala.collection.mutable
   * At every slide boundary the answers equal the brute-force snapshot,
   * and after every `advance(now)` the resident state is exactly what a
   * brute-force count of the entries valid past `now` gives, and every
-  * S-PATH result carries a path that witnesses it. The same
-  * streams check PATTERN (Q5) and PATH over PATTERN (Q8) in the
-  * negative-tuple and differential modes against brute force.
+  * S-PATH result carries a path that witnesses it. A second generator
+  * moves vertex ids with time, so S-PATH recycles the dense ids of
+  * vertices that left the window. The same streams check PATH (Q1–Q3),
+  * PATTERN (Q5) and PATH over PATTERN (Q8) in the negative-tuple and
+  * differential modes against brute force.
   */
 class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
 
@@ -27,18 +29,24 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
 
   private val labels = Seq("a", "b", "c")
 
-  private val genCase: Gen[Case] = for {
+  /** Up to 40 edges; `vertexAt(ts)` draws each end of an edge at `ts`. */
+  private def genStream(vertexAt: Long => Gen[Long]): Gen[Case] = for {
     slide  <- Gen.oneOf(1L, 2L, 3L, 5L)
     k      <- Gen.choose(1L, 4L)
     rest   <- Gen.choose(0L, slide - 1)
     n      <- Gen.choose(0, 40)
     gaps   <- Gen.listOfN(n, Gen.frequency(6 -> Gen.const(0L), 3 -> Gen.const(1L), 1 -> Gen.choose(2L, 15L)))
-    vertex  = Gen.frequency(3 -> Gen.const(0L), 4 -> Gen.choose(0L, 5L))
-    edges  <- Gen.listOfN(n, Gen.zip(vertex, vertex, Gen.oneOf(labels)))
-  } yield {
-    val ts = gaps.scanLeft(0L)(_ + _).tail
-    Case(edges.zip(ts).map { case ((s, t, l), at) => Sge(s, t, l, at) }.toVector, k * slide + rest, slide)
-  }
+    edges  <- Gen.sequence[List[Sge], Sge](gaps.scanLeft(0L)(_ + _).tail.map { at =>
+                Gen.zip(vertexAt(at), vertexAt(at), Gen.oneOf(labels)).map { case (s, t, l) => Sge(s, t, l, at) }
+              })
+  } yield Case(edges.toVector, k * slide + rest, slide)
+
+  private val genCase: Gen[Case] = genStream(_ => Gen.frequency(3 -> Gen.const(0L), 4 -> Gen.choose(0L, 5L)))
+
+  /** Vertex ids move with time: old vertices leave the window, and S-PATH
+    * hands the dense ids they held to new ones.
+    */
+  private val genChurn: Gen[Case] = genStream(at => Gen.choose(0L, 3L).map(at / 4 + _))
 
   private val binding = Workloads.Binding("a", "b", "c")
 
@@ -118,6 +126,11 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
     checkProp(Prop.forAll(genCase)(c => check("Q3", c)(pathNodes)))
   }
 
+  for (q <- Seq("Q1", "Q2", "Q3"))
+    test(s"property: $q S-PATH state and answers hold while vertex ids are recycled") {
+      checkProp(Prop.forAll(genChurn)(c => check(q, c)(pathNodes)))
+    }
+
   test("property: Q5 PATTERN state after each advance counts the live input tuples") {
     checkProp(Prop.forAll(genCase)(c => check("Q5", c) { (expr, ingested, now) =>
       // Only input tuples are stored, each once; Q5 has no self-loop atom.
@@ -142,42 +155,66 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
     else path.find(e => ingested.get(e).forall(_ < r.exp)).map(e => s"$e is not ingested valid until ${r.exp}")
   }
 
-  for (q <- Seq("Q1", "Q2", "Q3"))
+  /** Every result of `q` on a stream of `gen` carries a witness path. */
+  private def witnessProp(q: String, gen: Gen[Case]): Prop = Prop.forAll(gen) { c =>
+    val expr     = Workloads.expr(q, binding, c.window, c.slide)
+    val path     = expr.asInstanceOf[SgaExpr.Path]
+    val dfa      = Dfa.fromRegex(path.regex)
+    val wscan    = path.ins.head.asInstanceOf[SgaExpr.Wscan] // all inputs share |W| and β
+    val df       = PhysicalExec.build(expr, Mode.Direct)
+    val ingested = mutable.HashMap.empty[Edge, Long]
+    var failure  = Option.empty[String]
+    var next     = 0L // the next slide start to advance to
+    for (e <- c.stream if failure.isEmpty && df.relevantLabels(e.label)) {
+      while (next <= e.ts) { df.advance(next); next += c.slide }
+      val edge = Edge(e.src, e.trg, e.label)
+      ingested(edge) = ingested.getOrElse(edge, Long.MinValue).max(wscan.expiryOf(e.ts))
+      df.ingest(e)
+      failure = df.drain().iterator.map(_.sgt)
+        .flatMap(r => notWitness(dfa, ingested, r).map(why => s"$q: $why in $r"))
+        .nextOption()
+    }
+    Prop(failure.isEmpty) :| s"${failure.getOrElse("")}; $c"
+  }
+
+  for (q <- Seq("Q1", "Q2", "Q3")) {
     test(s"property: every $q S-PATH result carries a witness path of live ingested edges") {
+      checkProp(witnessProp(q, genCase))
+    }
+    test(s"property: every $q S-PATH result carries a witness path while vertex ids are recycled") {
+      checkProp(witnessProp(q, genChurn))
+    }
+  }
+
+  /** The last instant of the slide of `c`'s last edge that `expr` reads:
+    * deletions flow only while slides fire.
+    */
+  private def lastFired(expr: SgaExpr, c: Case): Long =
+    c.stream.filter(e => expr.inputLabels(e.label)).lastOption
+      .fold(0L)(e => e.ts / c.slide * c.slide + c.slide - 1)
+
+  for (q <- Seq("Q1", "Q2", "Q3", "Q5", "Q8"); mode <- Seq(Mode.NegativeTuple, Mode.Differential))
+    test(s"property: $q in $mode mode equals brute force at every slide boundary") {
       checkProp(Prop.forAll(genCase) { c =>
-        val expr     = Workloads.expr(q, binding, c.window, c.slide)
-        val path     = expr.asInstanceOf[SgaExpr.Path]
-        val dfa      = Dfa.fromRegex(path.regex)
-        val wscan    = path.ins.head.asInstanceOf[SgaExpr.Wscan] // all inputs share |W| and β
-        val df       = PhysicalExec.build(expr, Mode.Direct)
-        val ingested = mutable.HashMap.empty[Edge, Long]
-        var failure  = Option.empty[String]
-        var next     = 0L // the next slide start to advance to
-        for (e <- c.stream if failure.isEmpty && df.relevantLabels(e.label)) {
-          while (next <= e.ts) { df.advance(next); next += c.slide }
-          val edge = Edge(e.src, e.trg, e.label)
-          ingested(edge) = ingested.getOrElse(edge, Long.MinValue).max(wscan.expiryOf(e.ts))
-          df.ingest(e)
-          failure = df.drain().iterator.map(_.sgt)
-            .flatMap(r => notWitness(dfa, ingested, r).map(why => s"$q: $why in $r"))
-            .nextOption()
-        }
+        val expr    = Workloads.expr(q, binding, c.window, c.slide)
+        val failure = divergence(q, expr, mode, c, lastFired(expr, c))
         Prop(failure.isEmpty) :| s"${failure.getOrElse("")}; $c"
       })
     }
 
-  for (q <- Seq("Q5", "Q8"); mode <- Seq(Mode.NegativeTuple, Mode.Differential))
-    test(s"property: $q in $mode mode equals brute force at every slide boundary") {
-      checkProp(Prop.forAll(genCase) { c =>
-        val expr = Workloads.expr(q, binding, c.window, c.slide)
-        // Deletions flow only while slides fire: up to the slide of the
-        // last relevant edge.
-        val last = c.stream.filter(e => expr.inputLabels(e.label)).lastOption
-          .fold(0L)(e => e.ts / c.slide * c.slide + c.slide - 1)
-        val failure = divergence(q, expr, mode, c, last)
-        Prop(failure.isEmpty) :| s"${failure.getOrElse("")}; $c"
-      })
+  test("long chains whose head expires mid-stream equal brute force in every mode") {
+    // 0 -> 1 -> ... -> 59 arrives one edge per instant, then 59 -> 0 closes
+    // a cycle through the head's vertex after the head edge expired. Q1
+    // reads an a-chain; Q3 an a-b*-c* chain, whose results all go with
+    // the a-edge.
+    val a  = (0 until 59).map(i => Sge(i, i + 1, "a", i)) :+ Sge(59, 0, "a", 59)
+    val bc = (0 until 59).map(i => Sge(i, i + 1, if (i == 0) "a" else if (i < 30) "b" else "c", i))
+    for ((q, stream) <- Seq("Q1" -> a, "Q3" -> bc); mode <- Seq(Mode.Direct, Mode.NegativeTuple, Mode.Differential)) {
+      val c    = Case(stream.toVector, window = 25, slide = 2)
+      val expr = Workloads.expr(q, binding, c.window, c.slide)
+      assert(divergence(q, expr, mode, c, lastFired(expr, c)).isEmpty)
     }
+  }
 
   test("negative-tuple modes reject a window shorter than its slide") {
     val expr = Workloads.expr("Q5", binding, 2, 5)

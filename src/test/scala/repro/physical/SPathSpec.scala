@@ -247,4 +247,63 @@ class SPathSpec extends AnyFunSuite {
     feed(n, sgt(y, d, "RL", 42, 70))
     assert(reachedThroughY(1004, 43) == Set(d))
   }
+
+  test("a vertex whose edges all expired leaves nothing to the vertex that takes over its id") {
+    val (n, sink) = mkNode()
+    // x, y and z get dense ids; their only edges expire at 10.
+    feed(n, sgt(x, y, "RL", 1, 10), sgt(y, z, "RL", 2, 10))
+    n.advance(10)
+    assert(n.stateSize == 0)
+    sink.clear()
+    // a, b and c take the freed ids: a stale tree, node or adjacency
+    // entry under one of them would show up in the results or the state.
+    val (a, b, c) = (10L, 11L, 12L)
+    feed(n, sgt(a, b, "RL", 12, 30))
+    assert(sink.map(_.sgt.key).toSet == Set((a, b, "RLP")))
+    assert(n.stateSize == 2)
+    feed(n, sgt(c, a, "RL", 13, 30), sgt(b, c, "RL", 14, 30))
+    val pairs = for (s <- Seq(a, b, c); t <- Seq(a, b, c)) yield (s, t, "RLP")
+    assert(sink.map(_.sgt.key).toSet == pairs.toSet)
+    assert(sink.forall(d => d.sgt.exp == 30 && d.sgt.path.forall(e => Set(a, b, c)(e.src))))
+    assert(n.stateSize == 12, "three trees of a root and three nodes each")
+    n.advance(30)
+    assert(n.stateSize == 0)
+  }
+
+  test("vertex ids span the whole Long range") {
+    val (n, sink) = mkNode()
+    val (lo, m1, hi) = (Long.MinValue, -1L, Long.MaxValue)
+    feed(n, sgt(lo, m1, "RL", 1, 50), sgt(m1, hi, "RL", 2, 50), sgt(hi, lo, "RL", 3, 40))
+    val all = for (s <- Seq(lo, m1, hi); t <- Seq(lo, m1, hi)) yield (s, t, "RLP")
+    assert(sink.map(_.sgt.key).toSet == all.toSet)
+    val loHi = sink.map(_.sgt).filter(_.key == (lo, hi, "RLP"))
+    assert(loHi.map(_.path) == Seq(List(Edge(lo, m1, "RL"), Edge(m1, hi, "RL"))))
+    n.advance(40)
+    assert(n.stateSize == 5, "T_lo holds lo, m1, hi; T_m1 holds m1, hi")
+    n.advance(50)
+    assert(n.stateSize == 0)
+  }
+
+  test("a node table finds every node of a probe run after a removal inside it") {
+    val (n, sink) = mkNode()
+    // Lasting edges p_i -> q_i take vids 2i and 2i + 1, so (q_i, 1) has
+    // the dense key 4i + 3.
+    for (i <- 0L until 32L) feed(n, sgt(100 + i, 200 + i, "RL", 0, 1000))
+    val (r, q0, q2, q4) = (999L, 200L, 202L, 204L)
+    // T_r = {r, q0, q2, q4} has 8 slots; keys 3, 11 and 19 share slot 3.
+    feed(n, sgt(r, q0, "RL", 1, 10), sgt(r, q2, "RL", 2, 20), sgt(r, q4, "RL", 3, 30))
+    n.advance(10) // (q0, 1) leaves the head of the run
+    sink.clear()
+    feed(n, sgt(r, q2, "RL", 11, 50), sgt(r, q4, "RL", 12, 60))
+    assert(sink.map(d => (d.sgt.trg, d.sgt.exp)) == Seq((q2, 50L), (q4, 60L)))
+    assert(n.stateSize == 64 + 3, "q2 and q4 were found, not derived again")
+  }
+
+  test("node tables are sized by the trees, not by the vertex count") {
+    val (n, _) = mkNode()
+    // 20,000 disjoint edges: 20,000 trees of two nodes over 40,000 vertices.
+    for (i <- 0L until 20000L) feed(n, sgt(2 * i, 2 * i + 1, "RL", i, i + 100000))
+    assert(n.stateSize == 40000)
+    assert(n.nodeTableCapacity <= 4 * n.stateSize)
+  }
 }
