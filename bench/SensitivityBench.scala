@@ -33,8 +33,9 @@ class SensitivityBench extends SparkSpec {
   test("shape: direct-approach state is independent of the slide interval (Fig. 6b discussion)") {
     // The paper's tuple-oriented operators give β-independent *state*;
     // absolute throughput of our single-threaded engine also carries
-    // per-slide costs (EXPERIMENTS.md), so the scale-stable property
-    // asserted here is the state size.
+    // per-slide costs (to be shown in EXPERIMENTS.md, which waits on
+    // ROADMAP item 1), so the scale-stable property asserted here is the
+    // state size.
     val sga = rows.filter(r => r.query.startsWith("Q1/b=") && r.system == "SGA").map(_.stateSize)
     assert(sga.nonEmpty && sga.max.toDouble / sga.min < 1.5,
       s"SGA state across β should be stable, got $sga")

@@ -9,8 +9,9 @@ import repro.streams.Workloads
   * and LDBC-sim graphs with |W| = 30 days, β = 1 day.
   *
   * Absolute numbers differ from the paper (single-threaded simulation on
-  * synthetic data vs. 32-core server on the real graphs); EXPERIMENTS.md
-  * diffs the shapes. Scale with BENCH_SCALE (default 1.0).
+  * synthetic data vs. 32-core server on the real graphs); EXPERIMENTS.md,
+  * which waits on ROADMAP item 1, is to diff the shapes. Scale with
+  * BENCH_SCALE (default 0.5, from `BenchRunner.scale`).
   */
 class Table2Bench extends SparkSpec {
 

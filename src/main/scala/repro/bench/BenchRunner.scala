@@ -51,14 +51,10 @@ object BenchRunner {
       nLikes = (26000 * scale).toLong.max(1000),
       spanDays = 120)
 
-  /** Table 2 systems: SGA = direct approach, DD = differential baseline;
-    * "NT" additionally exposes the authors' earlier negative-tuple RPQ
-    * algorithm [62] for comparison (not a paper Table 2 column).
-    */
+  /** Table 2 systems: SGA = direct approach, DD = differential baseline. */
   def modeOf(system: String): Mode = system match {
     case "SGA" => Mode.Direct
     case "DD"  => Mode.Differential
-    case "NT"  => Mode.NegativeTuple
     case other => throw new IllegalArgumentException(s"unknown system $other")
   }
 
@@ -84,7 +80,8 @@ object BenchRunner {
     val ldbc   = ldbcStream(spark, scale)
     // Q8's co-target self-join inflates the derived stream quadratically
     // (the paper's own slowest query: 262 e/s, 88 s tails on SO); run it
-    // on a tenth-scale stream so the sweep completes (EXPERIMENTS.md).
+    // on a tenth-scale stream so the sweep completes (ROADMAP item 1
+    // re-checks this shrink).
     lazy val soQ8   = soStream(spark, scale * 0.1)
     lazy val ldbcQ8 = ldbcStream(spark, scale * 0.1)
     // Q4's canonical plan closes over a derived 3-chain stream — the
@@ -166,7 +163,9 @@ object BenchRunner {
     byWindow ++ bySlide
   }
 
-  /** Markdown table for EXPERIMENTS.md. */
+  /** Markdown table of bench rows (for `EXPERIMENTS.md`, which waits on
+    * ROADMAP item 1).
+    */
   def markdown(rows: Seq[BenchRow]): String = {
     val header = "| graph | query | system | throughput (edges/s) | tail latency (ms) | results | state |\n" +
                  "|---|---|---|---:|---:|---:|---:|"

@@ -42,10 +42,6 @@ object Rq {
     require(rules.forall(r => !edbLabels.contains(r.head)),
             "IDB heads must not collide with EDB labels (paper Def. 14)")
 
-    /** IDB predicates: every rule head plus closure names. */
-    def idbPredicates: Set[String] =
-      rules.map(_.head).toSet ++ rules.flatMap(_.body.collect { case a if a.closure => a.closureAs.get })
-
     /** Dependency graph edges `head -> body predicate` (paper fn. 9). */
     def dependencies: Set[(String, String)] =
       rules.flatMap(r => r.body.map(a => r.head -> a.label)).toSet

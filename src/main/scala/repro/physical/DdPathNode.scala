@@ -83,6 +83,7 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
     * in-neighbours; increases cascade to successors, and tuples whose
     * level exceeds the finite-round bound drop out (count-to-∞ on
     * cycles, then retraction) — DD's expensive backward re-stabilization.
+    * The tree goes once only its root is left.
     */
   private def restabilize(tree: Tree, v0: Long, s0: Int): Unit = {
     val queue = mutable.Queue((v0, s0))
@@ -117,6 +118,7 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
         }
       }
     }
+    if (tree.size == 1) forest.removeTree(tree)
   }
 
   private def enqueueSuccessors(tree: Tree, v: Long, s: Int,

@@ -75,13 +75,37 @@ object SetSemantics {
     if (mode == Mode.Direct) new Coalescer else new CountingDistinct
 }
 
+/** The coalesce rule of paper Def. 11 (temporal coalescing, Böhlen,
+  * Snodgrass & Soo, VLDB 1996) for one value-equivalence class: `[ts,
+  * exp)` is the interval last emitted for the class (`exp` is
+  * `Long.MinValue` before the first emission). The [[Coalescer]] and
+  * S-PATH's final-state tree nodes both decide with [[extend]].
+  */
+class Coalesced {
+  var ts: Long  = 0L
+  var exp: Long = Long.MinValue
+
+  /** Offers a result valid on `[ts, exp)`; returns whether it must be
+    * emitted, with this entry's interval then holding the one to emit.
+    * Nothing is emitted if the emitted interval already covers `exp`.
+    * Otherwise the emitted interval is extended to the merged one if the
+    * two overlap or touch, and replaced by the new one if not.
+    */
+  final def extend(ts: Long, exp: Long): Boolean = {
+    if (exp <= this.exp) return false
+    this.ts = if (math.max(this.ts, ts) <= this.exp) math.min(this.ts, ts) else ts
+    this.exp = exp
+    true
+  }
+}
+
 /** Coalescer (paper Def. 11 at operator outputs, §5.1): enforces set
-  * semantics in direct mode. Keyed by the distinguished attributes, it
-  * suppresses results whose validity is covered by what was already
-  * emitted and emits interval-extended results otherwise. Sound for
-  * in-order streams (which `Engine.runOn` enforces): a later result for
-  * the same key never starts earlier than an already-emitted one with a
-  * larger expiry.
+  * semantics in direct mode by the one rule of [[Coalesced]], keyed by
+  * the distinguished attributes: it suppresses results whose validity is
+  * covered by what was already emitted and emits interval-extended
+  * results otherwise. Sound for in-order streams (which `Engine.runOn`
+  * enforces): a later result for the same key never starts earlier than
+  * an already-emitted one with a larger expiry.
   *
   * Every coalescer serves one operator whose results all carry the same
   * label (PATTERN's output label; UNION relabels before it offers), so
@@ -94,7 +118,7 @@ object SetSemantics {
   * keys whose bucket came due: an extended key moves to its new expiry.
   */
 final class Coalescer extends SetSemantics {
-  private final class Entry(val src: Long, val trg: Long, var ts: Long, var exp: Long)
+  private final class Entry(val src: Long, val trg: Long) extends Coalesced
 
   private val state  = mutable.LongMap.empty[mutable.LongMap[Entry]]
   private val expiry = new ExpiryWheel[Entry]
@@ -103,22 +127,15 @@ final class Coalescer extends SetSemantics {
     require(d.sign == 1, "direct mode never processes deletions")
     val t     = d.sgt
     val bySrc = state.getOrElseUpdate(t.src, mutable.LongMap.empty[Entry])
-    val e     = bySrc.getOrNull(t.trg)
+    var e     = bySrc.getOrNull(t.trg)
     if (e == null) {
-      val n = new Entry(t.src, t.trg, t.ts, t.exp)
-      bySrc(t.trg) = n
-      expiry.schedule(t.exp, n)
-      Some(d)
-    } else if (t.exp <= e.exp) None
-    else if (math.max(e.ts, t.ts) <= e.exp) { // overlapping or adjacent: merge
-      e.ts = math.min(e.ts, t.ts)
-      e.exp = t.exp
-      Some(Delta(t.copy(ts = e.ts), 1))
-    } else {
-      e.ts = t.ts
-      e.exp = t.exp
-      Some(d)
+      e = new Entry(t.src, t.trg)
+      bySrc(t.trg) = e
+      expiry.schedule(t.exp, e)
     }
+    if (!e.extend(t.ts, t.exp)) None
+    else if (e.ts == t.ts) Some(d)
+    else Some(Delta(t.copy(ts = e.ts), 1))
   }
 
   override def purge(now: Long): Unit =

@@ -1,7 +1,7 @@
 package repro.physical
 
 import repro.core.{Dfa, Regex}
-import repro.core.Model.Sgt
+import repro.core.Model.{Edge, Sgt}
 import scala.collection.mutable
 
 /** PATH under the *negative-tuple* approach — the baseline of paper
@@ -21,13 +21,64 @@ import scala.collection.mutable
 final class NtPathNode(regex: Regex, outLabel: String) extends Node {
   val dfa: Dfa = Dfa.fromRegex(regex)
 
-  private final class TNode(v: Long, s: Int) extends TreeNode[TNode](v, s) {
+  /** A Δ-PATH tree node `(v, s)` (Def. 22): vertex `v` reached in DFA
+    * state `s`, with its parent, the graph edge that derives it from the
+    * parent, and its children.
+    */
+  private final class TNode(val v: Long, val s: Int) {
+    var parent: TNode = _
+    var parentEdge: Edge = _
+    /** In no particular order; a child sits at its `slot`. */
+    val children = mutable.ArrayBuffer.empty[TNode]
+    private var slot = -1
     var marked = false
+
+    /** Move this node under `p`, derived through a `label` edge. */
+    def attach(p: TNode, label: String): Unit = {
+      detach()
+      parent = p; parentEdge = Edge(p.v, v, label)
+      slot = p.children.length
+      p.children += this
+    }
+
+    /** Take this node out of its parent's children by swap-remove, keeping
+      * its parent pointer; a no-op if it is not among them.
+      */
+    def detach(): Unit = if (parent != null) {
+      val cs = parent.children
+      if (slot >= 0 && slot < cs.length && (cs(slot) eq this)) {
+        val last = cs(cs.length - 1)
+        cs(slot) = last
+        last.slot = slot
+        cs.dropRightInPlace(1)
+      }
+      slot = -1
+    }
+
+    /** The path from the root, following parent pointers (cost O(length)). */
+    def path: List[Edge] = {
+      var cur = this
+      var acc = List.empty[Edge]
+      while (cur.parent != null) { acc = cur.parentEdge :: acc; cur = cur.parent }
+      acc
+    }
   }
-  private type Tree = SpanningTree[TNode]
+
+  /** A spanning tree of nodes indexed by `(v, s)`. */
+  private final class Tree(val root: TNode) extends PathForest.Tree {
+    private val nodes = mutable.LongMap(PathForest.key(root.v, root.s) -> root)
+    def rootV: Long = root.v
+    def size: Int = nodes.size
+
+    def apply(v: Long, s: Int): TNode = nodes(PathForest.key(v, s))
+    def get(v: Long, s: Int): Option[TNode] = nodes.get(PathForest.key(v, s))
+    def contains(v: Long, s: Int): Boolean = nodes.contains(PathForest.key(v, s))
+    def add(n: TNode): Unit = nodes(PathForest.key(n.v, n.s)) = n
+    def remove(n: TNode): Unit = nodes.remove(PathForest.key(n.v, n.s))
+  }
 
   private val graph    = new WindowGraph(dfa)
-  private val forest   = new PathForest[Tree](dfa, rootV => new SpanningTree(new TNode(rootV, dfa.start)))
+  private val forest   = new PathForest[Tree](dfa, rootV => new Tree(new TNode(rootV, dfa.start)))
   private val counting = new CountingDistinct
 
   /** Operator metrics: re-derivation traversal steps (the NT overhead). */
@@ -76,7 +127,8 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
 
   /** Mark the subtree cut off at `cut`, search the snapshot graph for
     * alternative derivations from the unmarked region, cascade, and
-    * remove (retracting results) whatever stays underivable.
+    * remove (retracting results) whatever stays underivable; the tree
+    * goes once only its root is left.
     */
   private def rederive(tree: Tree, cut: TNode): Unit = {
     // (ii) mark the disconnected subtree.
@@ -129,6 +181,7 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
       forest.unindex(m.v, m.s, tree)
       if (dfa.finals.contains(m.s)) emitDelta(tree, m, -1)
     }
+    if (tree.size == 1) forest.removeTree(tree)
   }
 
   /** Dijkstra/BFS probe of the reverse adjacency for an unmarked parent

@@ -2,7 +2,7 @@ package repro.physical
 
 import repro.core.Dfa
 import repro.core.Model.{Edge, Sgt}
-import scala.collection.{immutable, mutable}
+import scala.collection.mutable
 
 /** The window content of the negative-tuple PATH operators
   * ([[NtPathNode]], [[DdPathNode]]): a counted edge multiset plus
@@ -47,91 +47,6 @@ final class WindowGraph(dfa: Dfa) {
 
   /** `(u, label)` for every edge `u -label-> v`. */
   def inEdges(v: Long): Iterator[(Long, String)] = rev.get(v).iterator.flatten
-}
-
-/** A Δ-PATH tree node `(v, s)` (Def. 22): vertex `v` reached in DFA
-  * state `s`.
-  */
-abstract class PathNode(val v: Long, val s: Int)
-
-/** A Δ-PATH tree node with its parent, the graph edge that derives it
-  * from the parent, and its children.
-  */
-abstract class TreeNode[N <: TreeNode[N]](v: Long, s: Int) extends PathNode(v, s) { self: N =>
-  var parent: N = _
-  var parentEdge: Edge = _
-  /** In no particular order; a child sits at its `slot`. */
-  val children = mutable.ArrayBuffer.empty[N]
-  private var slot = -1
-
-  /** Move this node under `p`, derived through a `label` edge. */
-  def attach(p: N, label: String): Unit = {
-    detach()
-    parent = p; parentEdge = Edge(p.v, v, label)
-    slot = p.children.length
-    p.children += this
-  }
-
-  /** Take this node out of its parent's children by swap-remove, keeping
-    * its parent pointer; a no-op if it is not among them.
-    */
-  def detach(): Unit = if (parent != null) {
-    val cs = parent.children
-    if (slot >= 0 && slot < cs.length && (cs(slot) eq this)) {
-      val last = cs(cs.length - 1)
-      cs(slot) = last
-      last.slot = slot
-      cs.dropRightInPlace(1)
-    }
-    slot = -1
-  }
-
-  /** The path from the root, following parent pointers (cost O(length)). */
-  def path: List[Edge] = {
-    var cur: N = this
-    var acc = List.empty[Edge]
-    while (cur.parent != null) { acc = cur.parentEdge :: acc; cur = cur.parent }
-    acc
-  }
-}
-
-/** An immutable edge path stored last edge first: a cell holds the last
-  * edge and the path before it, so a path extended by one edge is one
-  * new cell that shares the whole prefix (a persistent list; Driscoll et
-  * al., JCSS 1989). Building it costs O(1), never O(length). As a `Seq`
-  * it reads root-first and equals any `Seq` of the same edges.
-  */
-final class PathCell(override val last: Edge, val prefix: PathCell) extends immutable.AbstractSeq[Edge] {
-  override val length: Int = if (prefix == null) 1 else prefix.length + 1
-
-  def apply(i: Int): Edge = {
-    if (i < 0 || i >= length) throw new IndexOutOfBoundsException(s"$i is out of bounds (min 0, max ${length - 1})")
-    var c = this
-    var k = length - 1
-    while (k > i) { c = c.prefix; k -= 1 }
-    c.last
-  }
-
-  def iterator: Iterator[Edge] = {
-    val edges = new Array[Edge](length)
-    var c = this
-    var i = length - 1
-    while (c != null) { edges(i) = c.last; c = c.prefix; i -= 1 }
-    edges.iterator
-  }
-}
-
-/** A spanning tree of nodes indexed by `(v, s)`. */
-class SpanningTree[N <: PathNode](val root: N) extends PathForest.Tree {
-  private val nodes = mutable.LongMap(PathForest.key(root.v, root.s) -> root)
-  def rootV: Long = root.v
-  def size: Int = nodes.size
-
-  def apply(v: Long, s: Int): N = nodes(PathForest.key(v, s))
-  def get(v: Long, s: Int): Option[N] = nodes.get(PathForest.key(v, s))
-  def contains(v: Long, s: Int): Boolean = nodes.contains(PathForest.key(v, s))
-  def add(n: N): Unit = nodes(PathForest.key(n.v, n.s)) = n
-  def remove(n: N): Unit = nodes.remove(PathForest.key(n.v, n.s))
 }
 
 /** Δ-PATH (Def. 22) of the negative-tuple PATH operators ([[NtPathNode]],
@@ -184,6 +99,7 @@ final class PathForest[T <: PathForest.Tree](dfa: Dfa, newTree: Long => T) {
     }
   }
 
+  /** Drops `tree`, which must hold only its root. */
   def removeTree(tree: T): Unit = {
     trees.remove(tree.rootV)
     unindex(tree.rootV, dfa.start, tree)

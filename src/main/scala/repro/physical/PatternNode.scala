@@ -19,18 +19,21 @@ import scala.collection.mutable
   * tuples of the other inputs that meets the equalities — only in an
   * order that follows the selective inputs instead of the RQ body.
   *
-  * - Direct mode: a derivation's interval is the intersection of its
-  *   tuples' intervals (Def. 19); empty ones are pruned while extending.
-  *   A group's entries are kept sorted by expiry and the group sits in
-  *   an [[ExpiryWheel]] at its oldest entry's expiry, so `advance` pops
-  *   expired input tuples off the groups whose bucket came due and never
-  *   looks at the rest of the state.
-  * - Negative-tuple mode: intervals are vacuous (`[ts, ∞)`); a deletion
-  *   removes its tuple from its groups and extends like an insertion to
-  *   retract the derivations it took part in (paper §6.3). A counting
-  *   DISTINCT restores set semantics.
+  * A derivation's interval is the intersection of its tuples' intervals
+  * (Def. 19); empty ones are pruned while extending. A group's entries
+  * are kept sorted by expiry and the group sits in an [[ExpiryWheel]] at
+  * its oldest entry's expiry, so `advance` pops expired input tuples off
+  * the groups whose bucket came due and never looks at the rest of the
+  * state. A deletion (negative tuple) removes its tuple from its groups
+  * and extends like an insertion to retract the derivations it took part
+  * in (paper §6.3).
+  *
+  * The operator never asks which execution mode it runs in. Under
+  * negative tuples every tuple is valid on `[0, ∞)`, so nothing is ever
+  * scheduled to expire, and `distinct` is the plan's [[SetSemantics]]: a
+  * [[Coalescer]] under direct expiry, a [[CountingDistinct]] otherwise.
   */
-final class PatternNode(p: SgaExpr.Pattern, mode: Mode) extends Node {
+final class PatternNode(p: SgaExpr.Pattern, distinct: SetSemantics) extends Node {
   import PatternNode._
 
   private val n = p.ins.size
@@ -66,8 +69,6 @@ final class PatternNode(p: SgaExpr.Pattern, mode: Mode) extends Node {
   }
   private val live   = new Array[Long](n)
   private val expiry = new ExpiryWheel[Group]
-
-  private val distinct = SetSemantics(mode)
 
   // Values of the variables bound so far; which ones are valid is the
   // `bound` mask passed down `extend`.
@@ -178,7 +179,7 @@ final class PatternNode(p: SgaExpr.Pattern, mode: Mode) extends Node {
       var k = es.length
       while (k > g.head && es(k - 1).exp > u.exp) k -= 1
       es.insert(k, u)
-      if (mode == Mode.Direct && u.exp < g.scheduled) {
+      if (u.exp < g.scheduled) {
         g.scheduled = u.exp
         expiry.schedule(u.exp, g)
       }
@@ -190,7 +191,7 @@ final class PatternNode(p: SgaExpr.Pattern, mode: Mode) extends Node {
       if (g.size == 0) index.remove(key)
     }
 
-  override def advance(now: Long): Unit = if (mode == Mode.Direct) {
+  override def advance(now: Long): Unit = {
     for (g <- expiry.due(now) if g.scheduled <= now) expire(g, now)
     distinct.purge(now)
   }
@@ -233,9 +234,9 @@ private object PatternNode {
 
   /** The entries of input `input`'s `index` under `key`, sorted by expiry
     * (equal expiries in arrival order); `entries(0 until head)` have
-    * expired. In direct mode the group is scheduled at `scheduled`, at
-    * most its oldest entry's expiry; a registration at any other bucket
-    * is stale.
+    * expired. The group is scheduled at `scheduled`, at most its oldest
+    * entry's expiry, or nowhere while that is `Long.MaxValue`; a
+    * registration at any other bucket is stale.
     */
   private final class Group(val key: Long, val index: Index, val input: Int) {
     val entries = new mutable.ArrayBuffer[Tup](2)

@@ -34,7 +34,7 @@ object PhysicalExec {
           ins.zipWithIndex.foreach { case (c, i) => wire(compile(c), n, i) }
           n
         case p: SgaExpr.Pattern =>
-          val n = new PatternNode(p, mode)
+          val n = new PatternNode(p, SetSemantics(mode))
           p.ins.zipWithIndex.foreach { case (c, i) => wire(compile(c), n, i) }
           n
         case SgaExpr.Path(ins, regex, d) =>

@@ -3,7 +3,7 @@ package repro.physical
 import repro.core.{Dfa, Regex}
 import repro.core.Model.{Edge, Sgt}
 import java.util.Arrays
-import scala.collection.mutable
+import scala.collection.{immutable, mutable}
 
 /** PATH (Def. 20) via the paper's S-PATH algorithm (§6.2) — the *direct*
   * approach: Δ-PATH spanning forests whose nodes carry validity
@@ -43,8 +43,8 @@ import scala.collection.mutable
   *
   * Set semantics (Def. 11) are kept on the trees themselves: the
   * final-state nodes of a vertex `v` in the tree of root `r` share one
-  * [[Result]] entry for the pair `(r, v)`, so S-PATH needs no separate
-  * coalescer.
+  * [[Coalesced]] entry for the pair `(r, v)`, the rule the [[Coalescer]]
+  * applies, so S-PATH needs no separate coalescer.
   *
   * An arriving edge runs one Expand/Propagate search over every tree it
   * extends, visiting frames in decreasing candidate expiry (a widest-path
@@ -67,7 +67,7 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
     * parent or child links: its witness names the edges that derive it,
     * and expiry finds it through the wheel. Roots never expire.
     */
-  private final class TNode(v: Long, s: Int, val vid: Int, val tree: Tree) extends PathNode(v, s) {
+  private final class TNode(val v: Long, val s: Int, val vid: Int, val tree: Tree) {
     /** The dense key `(vid, s)`. */
     val key: Int = vid * nStates + s
     var ts: Long = 0L
@@ -75,19 +75,9 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
     /** The path from the root that last derived this node; null at roots. */
     var witness: PathCell = _
     /** The result entry of `(tree.rootV, v)` if `s` is final, else null. */
-    var result: Result = _
+    var result: Coalesced = _
     /** This node's slot in the inverted index's list at `key`. */
     var slot: Int = 0
-  }
-
-  /** The coalesced result `(root, v)` of one tree: the interval last
-    * emitted. The final-state nodes of `v` in the tree share it and are
-    * its only holders, so it lives exactly as long as one of them does.
-    * Its `exp` is the largest expiry emitted.
-    */
-  private final class Result {
-    var ts: Long  = 0L
-    var exp: Long = Long.MinValue // nothing emitted yet
   }
 
   /** The spanning tree of root `(rootV, start)`. Its nodes sit in an
@@ -391,8 +381,10 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
 
   /** The result entry of final-state node `n`, not yet in its tree: the
     * one another final-state node of `n.v` in the tree holds, else new.
+    * The final-state nodes of `n.v` are its only holders, so it lives
+    * exactly as long as one of them does.
     */
-  private def resultOf(n: TNode): Result = {
+  private def resultOf(n: TNode): Coalesced = {
     val base = n.vid * nStates
     var i = 0
     while (i < finals.length) {
@@ -400,7 +392,7 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
       if (other != null) return other.result
       i += 1
     }
-    new Result
+    new Coalesced
   }
 
   /** Push a frame for every currently-valid out-edge of `node.v` that the
@@ -429,16 +421,11 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
   }
 
   /** Emits final-state node `n`'s result, coalesced (Def. 11) with what
-    * its entry already emitted, exactly as a [[Coalescer]] would: nothing
-    * if the entry covers `n`'s expiry, else the interval extended when
-    * the two overlap or touch, else `n`'s own interval.
+    * its entry already emitted.
     */
   private def emitResult(n: TNode): Unit = {
     val r = n.result
-    if (n.exp <= r.exp) return
-    r.ts = if (math.max(r.ts, n.ts) <= r.exp) math.min(r.ts, n.ts) else n.ts
-    r.exp = n.exp
-    emit(Delta(Sgt(n.tree.rootV, n.v, outLabel, r.ts, r.exp, n.witness), 1))
+    if (r.extend(n.ts, n.exp)) emit(Delta(Sgt(n.tree.rootV, n.v, outLabel, r.ts, r.exp, n.witness), 1))
   }
 
   /** Direct window maintenance: pops the tree nodes and adjacency
@@ -618,5 +605,31 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
       heap   = java.util.Arrays.copyOf(heap, cap)
       top    = java.util.Arrays.copyOf(top, cap)
     }
+  }
+}
+
+/** An immutable edge path stored last edge first: a cell holds the last
+  * edge and the path before it, so a path extended by one edge is one
+  * new cell that shares the whole prefix (a persistent list; Driscoll et
+  * al., JCSS 1989). Building it costs O(1), never O(length). As a `Seq`
+  * it reads root-first and equals any `Seq` of the same edges.
+  */
+final class PathCell(override val last: Edge, val prefix: PathCell) extends immutable.AbstractSeq[Edge] {
+  override val length: Int = if (prefix == null) 1 else prefix.length + 1
+
+  def apply(i: Int): Edge = {
+    if (i < 0 || i >= length) throw new IndexOutOfBoundsException(s"$i is out of bounds (min 0, max ${length - 1})")
+    var c = this
+    var k = length - 1
+    while (k > i) { c = c.prefix; k -= 1 }
+    c.last
+  }
+
+  def iterator: Iterator[Edge] = {
+    val edges = new Array[Edge](length)
+    var c = this
+    var i = length - 1
+    while (c != null) { edges(i) = c.last; c = c.prefix; i -= 1 }
+    edges.iterator
   }
 }

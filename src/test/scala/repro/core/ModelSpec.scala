@@ -2,25 +2,12 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Model._
+import repro.physical.{Coalescer, Delta}
 
 class ModelSpec extends AnyFunSuite {
 
   private def sgt(src: Long, trg: Long, l: String, ts: Long, exp: Long): Sgt =
     Sgt(src, trg, l, ts, exp, List(Edge(src, trg, l)))
-
-  test("interval intersection of overlapping intervals") {
-    assert(Interval.intersect(0, 10, 5, 20).contains((5L, 10L)))
-  }
-
-  test("interval intersection of disjoint intervals is empty") {
-    assert(Interval.intersect(0, 5, 5, 10).isEmpty)
-    assert(Interval.intersect(0, 5, 7, 10).isEmpty)
-  }
-
-  test("adjacent intervals are mergeable but not intersecting") {
-    assert(Interval.mergeable(0, 5, 5, 10))
-    assert(Interval.intersect(0, 5, 5, 10).isEmpty)
-  }
 
   test("validAt respects half-open semantics") {
     val t = sgt(1, 2, "a", 10, 20)
@@ -34,34 +21,34 @@ class ModelSpec extends AnyFunSuite {
     assert(t.path == List(Edge(1, 2, "a")))
   }
 
-  test("coalesce merges overlapping value-equivalent tuples (paper Ex. 5)") {
-    // PATTERN finds (u,RL,v) via two subgraphs: [29,31) and [30,31).
-    val merged = coalesce(Seq(sgt(1, 2, "RL", 29, 31), sgt(1, 2, "RL", 30, 31)))
-    assert(merged == Seq(sgt(1, 2, "RL", 29, 31)))
-  }
+  /** The coalesce rule (Def. 11), as every operator output applies it:
+    * each row offers its results, in ts order, to one [[Coalescer]] and
+    * lists the results it emits, an extension carrying the merged
+    * interval and the payload of the result that extended it.
+    */
+  private val coalesceCases: Seq[(String, Seq[Sgt], Seq[Sgt])] = Seq(
+    ("coalesce merges overlapping value-equivalent tuples (paper Ex. 5)",
+      // PATTERN finds (u,RL,v) via two subgraphs: [29,31) and [30,31).
+      Seq(sgt(1, 2, "RL", 29, 31), sgt(1, 2, "RL", 30, 31)),
+      Seq(sgt(1, 2, "RL", 29, 31))),
+    ("coalesce merges adjacent intervals",
+      Seq(sgt(1, 2, "a", 0, 5), sgt(1, 2, "a", 5, 9)),
+      Seq(sgt(1, 2, "a", 0, 5), sgt(1, 2, "a", 0, 9))),
+    ("coalesce keeps disjoint intervals separate",
+      Seq(sgt(1, 2, "a", 0, 4), sgt(1, 2, "a", 6, 9)),
+      Seq(sgt(1, 2, "a", 0, 4), sgt(1, 2, "a", 6, 9))),
+    ("coalesce never merges across value-equivalence classes",
+      Seq(sgt(1, 2, "a", 0, 5), sgt(1, 3, "a", 2, 7), sgt(3, 2, "a", 3, 8), sgt(1, 2, "a", 4, 9)),
+      Seq(sgt(1, 2, "a", 0, 5), sgt(1, 3, "a", 2, 7), sgt(3, 2, "a", 3, 8), sgt(1, 2, "a", 0, 9))),
+    ("coalesce keeps the payload of the largest-expiry representative",
+      Seq(Sgt(1, 2, "a", 0, 5, List(Edge(9, 9, "x"))), Sgt(1, 2, "a", 3, 8, List(Edge(8, 8, "y")))),
+      Seq(Sgt(1, 2, "a", 0, 5, List(Edge(9, 9, "x"))), Sgt(1, 2, "a", 0, 8, List(Edge(8, 8, "y"))))))
 
-  test("coalesce merges adjacent intervals") {
-    val merged = coalesce(Seq(sgt(1, 2, "a", 0, 5), sgt(1, 2, "a", 5, 9)))
-    assert(merged.map(t => (t.ts, t.exp)) == Seq((0L, 9L)))
-  }
-
-  test("coalesce keeps disjoint intervals separate") {
-    val merged = coalesce(Seq(sgt(1, 2, "a", 0, 4), sgt(1, 2, "a", 6, 9)))
-    assert(merged.map(t => (t.ts, t.exp)).sorted == Seq((0L, 4L), (6L, 9L)))
-  }
-
-  test("coalesce never merges across value-equivalence classes") {
-    val merged = coalesce(Seq(sgt(1, 2, "a", 0, 5), sgt(1, 3, "a", 2, 7), sgt(1, 2, "b", 3, 8)))
-    assert(merged.size == 3)
-  }
-
-  test("coalesce keeps the payload of the largest-expiry representative") {
-    val t1 = Sgt(1, 2, "a", 0, 5, List(Edge(9, 9, "x")))
-    val t2 = Sgt(1, 2, "a", 3, 8, List(Edge(8, 8, "y")))
-    val merged = coalesce(Seq(t1, t2))
-    assert(merged.head.path == List(Edge(8, 8, "y")))
-    assert((merged.head.ts, merged.head.exp) == (0L, 8L))
-  }
+  for ((name, offered, emitted) <- coalesceCases)
+    test(name) {
+      val c = new Coalescer
+      assert(offered.flatMap(t => c.offer(Delta(t, 1))) == emitted.map(Delta(_, 1)))
+    }
 
   test("value-equivalence key ignores the interval and payload") {
     assert(sgt(1, 2, "a", 0, 5).key == sgt(1, 2, "a", 90, 95).key)

@@ -1,9 +1,9 @@
 package repro.oracle
 
-import repro.core.{Dfa, Regex, SgaExpr}
+import repro.core.{Dfa, SgaExpr}
 
 /** Compiles an [[SgaExpr]] snapshot evaluation into a single DuckDB SQL
-  * statement, for use with the test-scope `repro.Oracle.assertEquivalent`.
+  * statement, for use with `repro.Oracle.assertEquivalent`.
   *
   * The input stream is expected as a table ``stream(src, trg, label, ts)``
   * (all VARCHAR — the oracle loads DataFrames untyped). WSCAN windowing,
@@ -96,27 +96,5 @@ object SgaOracle {
         ctes += s"$name AS (\n  SELECT DISTINCT s AS src, t AS trg FROM $reachCte WHERE st IN ($finals)\n)"
         name
     }
-  }
-
-  /** Oracle SQL for a bare RPQ over a single snapshot edge table
-    * ``edges(src, trg, label)`` — used by the S-PATH unit tests where the
-    * window filter has already been applied.
-    */
-  def rpqSql(regex: Regex): String = {
-    val dfa    = Dfa.fromRegex(regex)
-    val rows   = dfa.transitions.toSeq.sortBy(x => (x._1._1, x._1._2))
-      .map { case ((s, l), q) => s"($s, '$l', $q)" }
-    val finals = dfa.finals.mkString(", ")
-    s"""WITH RECURSIVE
-       |trans(t_from, t_label, t_to) AS (VALUES ${rows.mkString(", ")}),
-       |reach(s, st, t) AS (
-       |  SELECT e.src, tr.t_to, e.trg FROM edges e
-       |  JOIN trans tr ON tr.t_label = e.label AND tr.t_from = ${dfa.start}
-       |  UNION
-       |  SELECT r.s, tr.t_to, e.trg FROM reach r
-       |  JOIN edges e ON r.t = e.src
-       |  JOIN trans tr ON tr.t_from = r.st AND tr.t_label = e.label
-       |)
-       |SELECT DISTINCT s AS src, t AS trg FROM reach WHERE st IN ($finals)""".stripMargin
   }
 }

@@ -98,4 +98,16 @@ class DdPathSpec extends AnyFunSuite {
     assert(sink.filter(_.sign == -1).map(_.sgt.key).toSet ==
       Set((x, z, "out"), (x, y, "out")))
   }
+
+  test("a tree goes once only its root is left: deleted edges leave no state") {
+    val (n, sink) = mkNode()
+    for (i <- 0L until 1000L) {
+      val e = sgt(2 * i, 2 * i + 1, "a")
+      n.receive(Delta(e, 1), 0)
+      assert(n.stateSize == 2)
+      n.receive(Delta(e, -1), 0)
+      assert(n.stateSize == 0)
+    }
+    assert(sink.count(_.sign == 1) == 1000 && sink.count(_.sign == -1) == 1000)
+  }
 }

@@ -21,7 +21,10 @@ import scala.collection.mutable
   * moves vertex ids with time, so S-PATH recycles the dense ids of
   * vertices that left the window. The same streams check PATH (Q1–Q3),
   * PATTERN (Q5) and PATH over PATTERN (Q8) in the negative-tuple and
-  * differential modes against brute force.
+  * differential modes against brute force, and Q4 (its canonical plan
+  * and P1–P3), Q6 and Q7 in every mode. A third generator draws dense
+  * single-label streams, cycles and self-loops on six vertices, for Q1
+  * and Q8 in every mode.
   */
 class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
 
@@ -30,14 +33,14 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
   private val labels = Seq("a", "b", "c")
 
   /** Up to 40 edges; `vertexAt(ts)` draws each end of an edge at `ts`. */
-  private def genStream(vertexAt: Long => Gen[Long]): Gen[Case] = for {
+  private def genStream(vertexAt: Long => Gen[Long], label: Gen[String] = Gen.oneOf(labels)): Gen[Case] = for {
     slide  <- Gen.oneOf(1L, 2L, 3L, 5L)
     k      <- Gen.choose(1L, 4L)
     rest   <- Gen.choose(0L, slide - 1)
     n      <- Gen.choose(0, 40)
     gaps   <- Gen.listOfN(n, Gen.frequency(6 -> Gen.const(0L), 3 -> Gen.const(1L), 1 -> Gen.choose(2L, 15L)))
     edges  <- Gen.sequence[List[Sge], Sge](gaps.scanLeft(0L)(_ + _).tail.map { at =>
-                Gen.zip(vertexAt(at), vertexAt(at), Gen.oneOf(labels)).map { case (s, t, l) => Sge(s, t, l, at) }
+                Gen.zip(vertexAt(at), vertexAt(at), label).map { case (s, t, l) => Sge(s, t, l, at) }
               })
   } yield Case(edges.toVector, k * slide + rest, slide)
 
@@ -47,6 +50,9 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
     * hands the dense ids they held to new ones.
     */
   private val genChurn: Gen[Case] = genStream(at => Gen.choose(0L, 3L).map(at / 4 + _))
+
+  /** Dense single-label streams: vertices 0–5, every edge labelled `a`. */
+  private val genDense: Gen[Case] = genStream(_ => Gen.choose(0L, 5L), Gen.const("a"))
 
   private val binding = Workloads.Binding("a", "b", "c")
 
@@ -193,13 +199,40 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
     c.stream.filter(e => expr.inputLabels(e.label)).lastOption
       .fold(0L)(e => e.ts / c.slide * c.slide + c.slide - 1)
 
+  /** `q`'s plan `plan(c)` in `mode` equals brute force on every stream of
+    * `gen`: at every slide boundary that fires under negative tuples, and
+    * under direct expiry also at every later one until the window is empty.
+    */
+  private def agrees(q: String, mode: Mode, gen: Gen[Case])(plan: Case => SgaExpr): Prop =
+    Prop.forAll(gen) { c =>
+      val expr    = plan(c)
+      val last    =
+        if (mode == Mode.Direct) c.stream.lastOption.fold(0L)(_.ts) + c.window + c.slide
+        else lastFired(expr, c)
+      val failure = divergence(q, expr, mode, c, last)
+      Prop(failure.isEmpty) :| s"${failure.getOrElse("")}; $c"
+    }
+
+  private val modes = Seq(Mode.Direct, Mode.NegativeTuple, Mode.Differential)
+
   for (q <- Seq("Q1", "Q2", "Q3", "Q5", "Q8"); mode <- Seq(Mode.NegativeTuple, Mode.Differential))
     test(s"property: $q in $mode mode equals brute force at every slide boundary") {
-      checkProp(Prop.forAll(genCase) { c =>
-        val expr    = Workloads.expr(q, binding, c.window, c.slide)
-        val failure = divergence(q, expr, mode, c, lastFired(expr, c))
-        Prop(failure.isEmpty) :| s"${failure.getOrElse("")}; $c"
-      })
+      checkProp(agrees(q, mode, genCase)(c => Workloads.expr(q, binding, c.window, c.slide)))
+    }
+
+  for (plan <- Seq("SGA", "P1", "P2", "P3"); mode <- modes)
+    test(s"property: Q4 plan $plan in $mode mode equals brute force at every slide boundary") {
+      checkProp(agrees(s"Q4/$plan", mode, genCase)(c => Workloads.q4Plans(binding, c.window, c.slide)(plan)))
+    }
+
+  for (q <- Seq("Q6", "Q7"); mode <- modes)
+    test(s"property: $q in $mode mode equals brute force at every slide boundary") {
+      checkProp(agrees(q, mode, genCase)(c => Workloads.expr(q, binding, c.window, c.slide)))
+    }
+
+  for (q <- Seq("Q1", "Q8"); mode <- modes)
+    test(s"property: $q on dense single-label streams in $mode mode equals brute force at every slide boundary") {
+      checkProp(agrees(q, mode, genDense)(c => Workloads.expr(q, binding, c.window, c.slide)))
     }
 
   test("long chains whose head expires mid-stream equal brute force in every mode") {

@@ -105,4 +105,16 @@ class NtPathSpec extends AnyFunSuite {
     n.receive(Delta(sgt(x, y, "a", 9), 1), 0)
     assert(sink.map(d => (d.sgt.key, d.sign)).toSet == Set(((x, y, "out"), 1)))
   }
+
+  test("a tree goes once only its root is left: deleted edges leave no state") {
+    val (n, sink) = mkNode()
+    for (i <- 0L until 1000L) {
+      val e = sgt(2 * i, 2 * i + 1, "a", i)
+      n.receive(Delta(e, 1), 0)
+      assert(n.stateSize == 2)
+      n.receive(Delta(e, -1), 0)
+      assert(n.stateSize == 0)
+    }
+    assert(sink.count(_.sign == 1) == 1000 && sink.count(_.sign == -1) == 1000)
+  }
 }

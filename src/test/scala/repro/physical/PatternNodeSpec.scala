@@ -14,7 +14,7 @@ class PatternNodeSpec extends AnyFunSuite {
     SgaExpr.Pattern(List(w("a"), w("b")), List((trg(0), src(1))), src(0), trg(1), d)
 
   private def mk(p: SgaExpr.Pattern, mode: Mode): (PatternNode, mutable.Buffer[Delta]) = {
-    val n = new PatternNode(p, mode)
+    val n = new PatternNode(p, SetSemantics(mode))
     val sink = mutable.ArrayBuffer.empty[Delta]
     n.sink = sink
     (n, sink)
