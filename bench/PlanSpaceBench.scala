@@ -10,13 +10,7 @@ import repro.SparkSpec
   */
 class PlanSpaceBench extends SparkSpec {
 
-  private lazy val rows = {
-    val r = BenchRunner.runPlanSpace(spark)
-    val f = BenchRunner.writeResults("planspace", r)
-    info(s"results written to $f")
-    println("\n=== Plan space (§7.4) ===\n" + BenchRunner.markdown(r) + "\n")
-    r
-  }
+  private lazy val rows = BenchRunner.run(spark, "planspace", BenchRunner.planSpace)
 
   test("all Q4 plans and Q2/Q3 alternatives complete") {
     assert(rows.count(_.query.startsWith("Q4/")) == 8) // 4 plans × 2 graphs

@@ -8,13 +8,7 @@ import repro.SparkSpec
   */
 class SensitivityBench extends SparkSpec {
 
-  private lazy val rows = {
-    val r = BenchRunner.runSensitivity(spark)
-    val f = BenchRunner.writeResults("sensitivity", r)
-    info(s"results written to $f")
-    println("\n=== Sensitivity (§7.3) ===\n" + BenchRunner.markdown(r) + "\n")
-    r
-  }
+  private lazy val rows = BenchRunner.run(spark, "sensitivity", BenchRunner.sensitivity)
 
   test("sensitivity sweep completes") {
     assert(rows.size == 8 + 6)

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.streams.Workloads
 
 /** Reproduces paper Table 2: throughput (edges/s) and tail latency (s)
   * of the SGA-based query processor (direct approach) vs. the
@@ -11,25 +10,22 @@ import repro.streams.Workloads
   * Absolute numbers differ from the paper (single-threaded simulation on
   * synthetic data vs. 32-core server on the real graphs); EXPERIMENTS.md,
   * which waits on ROADMAP item 1, is to diff the shapes. Scale with
-  * BENCH_SCALE (default 0.5, from `BenchRunner.scale`).
+  * BENCH_SCALE (default 0.5, from `BenchRunner.scale`); pick queries with
+  * BENCH_QUERIES (`BenchRunner.queries`). A shape test whose queries are
+  * not all picked cancels.
   */
 class Table2Bench extends SparkSpec {
 
-  private lazy val rows = {
-    val r = BenchRunner.runTable2(spark)
-    val f = BenchRunner.writeResults("table2", r)
-    info(s"results written to $f")
-    println("\n=== Table 2 (this reproduction) ===\n" + BenchRunner.markdown(r) + "\n")
-    r
-  }
+  private lazy val rows = BenchRunner.run(spark, "table2", BenchRunner.table2())
+  private val queries = BenchRunner.queries
 
   test("Table 2 completes for every graph × query × system") {
-    assert(rows.size == 2 * Workloads.queryNames.size * 2)
+    assert(rows.size == 2 * queries.size * 2)
     assert(rows.forall(_.throughputEps > 0))
   }
 
   test("Table 2: every query produces results on both graphs") {
-    for (g <- Seq("SO", "LDBC"); q <- Workloads.queryNames) {
+    for (g <- Seq("SO", "LDBC"); q <- queries) {
       val rs = rows.filter(r => r.graph == g && r.query == q)
       assert(rs.forall(_.results > 0), s"$g/$q produced no results: $rs")
     }
@@ -39,7 +35,7 @@ class Table2Bench extends SparkSpec {
     // Both systems compute the same answer set; insertion counts can
     // differ slightly (interval re-emissions vs. retraction/re-insert),
     // but never by an order of magnitude.
-    for (g <- Seq("SO", "LDBC"); q <- Workloads.queryNames) {
+    for (g <- Seq("SO", "LDBC"); q <- queries) {
       val sga = rows.find(r => r.graph == g && r.query == q && r.system == "SGA").get
       val dd  = rows.find(r => r.graph == g && r.query == q && r.system == "DD").get
       val ratio = sga.results.toDouble / dd.results.max(1)
@@ -49,6 +45,7 @@ class Table2Bench extends SparkSpec {
 
   test("shape: direct approach wins on the cyclic SO graph for recursive queries (paper §7.2.2)") {
     val recursive = Seq("Q1", "Q7", "Q8")
+    assume(recursive.forall(queries.contains), s"needs $recursive in BENCH_QUERIES")
     val wins = recursive.count { q =>
       val sga = rows.find(r => r.graph == "SO" && r.query == q && r.system == "SGA").get
       val dd  = rows.find(r => r.graph == "SO" && r.query == q && r.system == "DD").get
@@ -58,6 +55,7 @@ class Table2Bench extends SparkSpec {
   }
 
   test("shape: SGA outperforms DD on the pattern-heavy Q5 (paper Table 2)") {
+    assume(queries.contains("Q5"), "needs Q5 in BENCH_QUERIES")
     for (g <- Seq("SO", "LDBC")) {
       val sga = rows.find(r => r.graph == g && r.query == "Q5" && r.system == "SGA").get
       val dd  = rows.find(r => r.graph == g && r.query == "Q5" && r.system == "DD").get

@@ -38,11 +38,6 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
   private val forest   = new PathForest[Tree](dfa, new Tree(_))
   private val counting = new CountingDistinct
 
-  /** Operator metric: arrangement-maintenance steps (level updates and
-    * in-neighbour scans) — DD's re-stabilization work.
-    */
-  var stabilizationSteps: Long = 0L
-
   override def receive(d: Delta, slot: Int): Unit =
     if (d.sign == 1) insert(d.sgt) else delete(d.sgt)
 
@@ -56,7 +51,7 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
     val queue = mutable.Queue((v0, s0, cand0))
     while (queue.nonEmpty) {
       val (v, s, cand) = queue.dequeue()
-      stabilizationSteps += 1
+      traversalSteps += 1
       val k   = PathForest.key(v, s)
       val cur = tree.levels.get(k)
       if (cur.forall(_ > cand)) {
@@ -99,7 +94,7 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
             val bound = tree.levels.size
             var best  = Int.MaxValue
             for ((u, lbl) <- graph.inEdges(v); sp <- dfa.sourcesInto(lbl, s)) {
-              stabilizationSteps += 1
+              traversalSteps += 1
               tree.levels.get(PathForest.key(u, sp)) match {
                 case Some(lu) if u != v || sp != s => best = math.min(best, lu + 1)
                 case _                             => ()
@@ -124,7 +119,7 @@ final class DdPathNode(regex: Regex, outLabel: String) extends Node {
   private def enqueueSuccessors(tree: Tree, v: Long, s: Int,
                                 queue: mutable.Queue[(Long, Int)]): Unit =
     for ((w, q, _) <- graph.successors(v, s) if tree.levels.contains(PathForest.key(w, q))) {
-      stabilizationSteps += 1
+      traversalSteps += 1
       queue.enqueue((w, q))
     }
 

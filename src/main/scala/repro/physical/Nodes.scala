@@ -57,6 +57,13 @@ abstract class Node {
 
   /** Operator state (tuples or tree nodes) resident; 0 for stateless nodes. */
   def stateSize: Long = 0L
+
+  /** Search work, for metrics; 0 outside PATH. S-PATH counts the
+    * Expand/Propagate frames it pops (stale ones included), NT its
+    * re-derivation steps, DD its re-stabilization steps (level updates
+    * and in-neighbour scans).
+    */
+  var traversalSteps: Long = 0L
 }
 
 /** Set semantics at an operator output: [[Coalescer]] in direct mode,

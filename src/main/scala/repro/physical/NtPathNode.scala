@@ -81,9 +81,6 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
   private val forest   = new PathForest[Tree](dfa, rootV => new Tree(new TNode(rootV, dfa.start)))
   private val counting = new CountingDistinct
 
-  /** Operator metrics: re-derivation traversal steps (the NT overhead). */
-  var rederivationSteps: Long = 0L
-
   override def receive(d: Delta, slot: Int): Unit =
     if (d.sign == 1) insert(d.sgt) else delete(d.sgt)
 
@@ -100,7 +97,7 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
     while (queue.nonEmpty) {
       val (parent, v, s, l) = queue.dequeue()
       if (!tree.contains(v, s)) {
-        rederivationSteps += 1
+        traversalSteps += 1
         val node = new TNode(v, s)
         node.attach(parent, l)
         tree.add(node)
@@ -146,7 +143,7 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
     // unmarked node re-attach; their subtrees revalidate transitively.
     val queue = mutable.Queue.empty[TNode]
     for (m <- marked if m.marked) {
-      rederivationSteps += 1
+      traversalSteps += 1
       findAltParent(tree, m) match {
         case Some((p, lbl)) => reattach(m, p, lbl); queue.enqueue(m)
         case None           => ()
@@ -189,7 +186,7 @@ final class NtPathNode(regex: Regex, outLabel: String) extends Node {
     */
   private def findAltParent(tree: Tree, m: TNode): Option[(TNode, String)] = {
     for ((u, lbl) <- graph.inEdges(m.v)) {
-      rederivationSteps += 1
+      traversalSteps += 1
       for (s <- dfa.sourcesInto(lbl, m.s)) {
         tree.get(u, s) match {
           case Some(p) if !p.marked && (p ne m) => return Some((p, lbl))

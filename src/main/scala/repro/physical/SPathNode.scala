@@ -185,11 +185,6 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
   private val edgeExpiry = new ExpiryWheel[EdgeRec]
   private val frontier   = new Frontier
 
-  /** Operator metrics: traversal steps performed (Expand+Propagate frames
-    * popped, stale ones included).
-    */
-  var traversalSteps: Long = 0L
-
   override def receive(d: Delta, slot: Int): Unit = {
     require(d.sign == 1, "S-PATH is the direct-approach operator; use NtPathNode for negative tuples")
     val t = d.sgt

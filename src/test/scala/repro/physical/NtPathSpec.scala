@@ -50,7 +50,7 @@ class NtPathSpec extends AnyFunSuite {
     n.receive(Delta(sgt(y, z, "a", 2), -1), 0)
     // (x,z) survives through u; only (y,z) is retracted.
     assert(sink.map(d => (d.sgt.key, d.sign)).toSet == Set(((y, z, "out"), -1)))
-    assert(n.rederivationSteps > 0, "the NT approach must pay re-derivation work")
+    assert(n.traversalSteps > 0, "the NT approach must pay re-derivation work")
   }
 
   test("deletion cascades through dependent subtrees") {
