@@ -24,10 +24,6 @@ import org.apache.spark.sql.types._
   */
 object LogicalExec {
 
-  /** Spark schema of the edge payload elements (materialized paths). */
-  val edgeStruct: StructType = StructType(Seq(
-    StructField("esrc", LongType), StructField("etrg", LongType), StructField("elabel", StringType)))
-
   /** Maximum fixpoint iterations before we declare divergence; snapshots
     * are finite so the loop always terminates well before this bound at
     * test scales.
@@ -38,9 +34,6 @@ object LogicalExec {
     * `stream(src, trg, label, ts)`.
     */
   def snapshot(spark: SparkSession, expr: SgaExpr, stream: DataFrame, t: Long): DataFrame =
-    eval(spark, expr, stream, t)
-
-  private def eval(spark: SparkSession, expr: SgaExpr, stream: DataFrame, t: Long): DataFrame =
     expr match {
       case w @ SgaExpr.Wscan(l, size, slide) =>
         // τ_t(W(S)): sges whose windowed validity interval contains t
@@ -58,10 +51,10 @@ object LogicalExec {
           .dropDuplicates("src", "trg", "label")
 
       case SgaExpr.Filter(in, pred) =>
-        eval(spark, in, stream, t).filter(expr_sql(pred.sql))
+        snapshot(spark, in, stream, t).filter(expr_sql(pred.sql))
 
       case SgaExpr.Union(ins, d) =>
-        ins.map(eval(spark, _, stream, t))
+        ins.map(snapshot(spark, _, stream, t))
           .reduce(_ unionByName _)
           .withColumn("label", lit(d))
           .groupBy("src", "trg", "label")
@@ -69,7 +62,7 @@ object LogicalExec {
 
       case SgaExpr.Pattern(ins, eqs, outSrc, outTrg, d) =>
         val dfs = ins.zipWithIndex.map { case (in, i) =>
-          val e = eval(spark, in, stream, t)
+          val e = snapshot(spark, in, stream, t)
           e.select(
             col("src") as s"src_$i", col("trg") as s"trg_$i", col("path") as s"path_$i")
         }
@@ -87,7 +80,7 @@ object LogicalExec {
       case SgaExpr.Path(ins, regex, d) =>
         val dfa = Dfa.fromRegex(regex)
         // Snapshot edges of every input, tagged with their stream label.
-        val edges = ins.map(eval(spark, _, stream, t))
+        val edges = ins.map(snapshot(spark, _, stream, t))
           .reduce(_ unionByName _)
           .select(col("src"), col("trg"), col("label"), col("path"))
           .dropDuplicates("src", "trg", "label")

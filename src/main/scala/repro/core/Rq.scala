@@ -13,19 +13,14 @@ object Rq {
   val AnswerPredicate = "Answer"
 
   /** A body atom: predicate `label` applied to variables `(src, trg)`;
-    * `closure = true` denotes `label⁺(src, trg)` introduced under the
-    * derived name `closureAs`.
+    * `closureAs = Some(d)` denotes `label⁺(src, trg)` introduced under
+    * the derived name `d`.
     */
-  final case class Atom(
-      label: String,
-      src: String,
-      trg: String,
-      closure: Boolean = false,
-      closureAs: Option[String] = None) {
-    require(!closure || closureAs.nonEmpty, "closure atoms need an 'as' name")
+  final case class Atom(label: String, src: String, trg: String, closureAs: Option[String] = None) {
+    def closure: Boolean = closureAs.nonEmpty
     def vars: Set[String] = Set(src, trg)
     def render: String =
-      if (closure) s"$label+($src,$trg) as ${closureAs.get}" else s"$label($src,$trg)"
+      closureAs.fold(s"$label($src,$trg)")(d => s"$label+($src,$trg) as $d")
   }
 
   /** A rule `head(headSrc, headTrg) ← body`. */

@@ -41,10 +41,8 @@ object SgqParser {
     val inputs: List[SgaExpr] = rule.body.map { atom =>
       val base = exp.getOrElse(atom.label,
         throw new IllegalArgumentException(s"unknown predicate '${atom.label}' in ${rule.render}"))
-      if (atom.closure)
-        exp.getOrElseUpdate(atom.closureAs.get,
-          SgaExpr.Path(List(base), Regex.Plus(Regex.Lbl(atom.label)), atom.closureAs.get))
-      else base
+      atom.closureAs.fold(base)(d =>
+        exp.getOrElseUpdate(d, SgaExpr.Path(List(base), Regex.Plus(Regex.Lbl(atom.label)), d)))
     }
 
     // Positional equality predicates from shared variables (GenPred).

@@ -9,10 +9,11 @@ import scala.collection.mutable
   * - [[Mode.Direct]] — the paper's approach: operators rely on validity
   *   intervals to locate expired tuples directly; no deletion processing
   *   for window movements.
-  * - [[Mode.NegativeTuple]] — the DD-style baseline: windows are evolving
-  *   collections, every expiration is an explicit deletion (a negative
-  *   tuple) that flows through the operators and triggers retraction /
-  *   re-derivation work.
+  * - [[Mode.NegativeTuple]] — the negative-tuple approach of [62]:
+  *   windows are evolving collections, every expiration is an explicit
+  *   deletion (a negative tuple) that flows through the operators. PATH
+  *   ([[NtPathNode]]) keeps DD's level forest, repairs a deletion by a
+  *   two-phase decremental BFS and gives each insertion a witness path.
   */
 sealed trait Mode
 object Mode {
@@ -59,9 +60,10 @@ abstract class Node {
   def stateSize: Long = 0L
 
   /** Search work, for metrics; 0 outside PATH. S-PATH counts the
-    * Expand/Propagate frames it pops (stale ones included), NT its
-    * re-derivation steps, DD its re-stabilization steps (level updates
-    * and in-neighbour scans).
+    * Expand/Propagate frames it pops (stale ones included); NT and DD the
+    * pops of their insertion wave and the steps of their repair (NT's
+    * in-edge probes and re-levelling visits, DD's in-neighbour scans and
+    * successor re-queues).
     */
   var traversalSteps: Long = 0L
 }

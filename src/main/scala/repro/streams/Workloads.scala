@@ -48,7 +48,7 @@ object Workloads {
         Rq.Rule("d", "x", "y", List(
           Rq.Atom(a, "x", "z1"), Rq.Atom(b, "z1", "z2"), Rq.Atom(c, "z2", "y"))),
         Rq.Rule(Rq.AnswerPredicate, "x", "y", List(
-          Rq.Atom("d", "x", "y", closure = true, closureAs = Some("dp"))))),
+          Rq.Atom("d", "x", "y", closureAs = Some("dp"))))),
         edbLabels = Set(a, b, c)))
       case "Q5" => Some(Rq.Program(List(
         Rq.Rule(Rq.AnswerPredicate, "m1", "m2", List(
@@ -57,21 +57,21 @@ object Workloads {
         edbLabels = Set(a, b, c)))
       case "Q6" => Some(Rq.Program(List(
         Rq.Rule(Rq.AnswerPredicate, "x", "y", List(
-          Rq.Atom(a, "x", "y", closure = true, closureAs = Some("ap")),
+          Rq.Atom(a, "x", "y", closureAs = Some("ap")),
           Rq.Atom(b, "x", "m"), Rq.Atom(c, "m", "y")))),
         edbLabels = Set(a, b, c)))
       case "Q7" => Some(Rq.Program(List(
         Rq.Rule("RL", "x", "y", List(
-          Rq.Atom(a, "x", "y", closure = true, closureAs = Some("ap")),
+          Rq.Atom(a, "x", "y", closureAs = Some("ap")),
           Rq.Atom(b, "x", "m"), Rq.Atom(c, "m", "y"))),
         Rq.Rule(Rq.AnswerPredicate, "x", "m2", List(
-          Rq.Atom("RL", "x", "y", closure = true, closureAs = Some("RLP")),
+          Rq.Atom("RL", "x", "y", closureAs = Some("RLP")),
           Rq.Atom(c, "m2", "y")))),
         edbLabels = Set(a, b, c)))
       case "Q8" => Some(Rq.Program(List(
         Rq.Rule("P", "x", "y", List(Rq.Atom(a, "x", "z"), Rq.Atom(a, "y", "z"))),
         Rq.Rule(Rq.AnswerPredicate, "x", "y", List(
-          Rq.Atom("P", "x", "y", closure = true, closureAs = Some("PP"))))),
+          Rq.Atom("P", "x", "y", closureAs = Some("PP"))))),
         edbLabels = Set(a)))
       case _ => None
     }

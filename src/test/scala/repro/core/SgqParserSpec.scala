@@ -11,7 +11,7 @@ class SgqParserSpec extends AnyFunSuite {
     Rule("RL", "u1", "u2", List(
       Atom("l", "u1", "m1"), Atom("f", "u1", "u2"), Atom("p", "u2", "m1"))),
     Rule("Notify", "u", "m", List(
-      Atom("RL", "u", "u2", closure = true, closureAs = Some("RLP")),
+      Atom("RL", "u", "u2", closureAs = Some("RLP")),
       Atom("p", "u2", "m"))),
     Rule(AnswerPredicate, "u", "m", List(Atom("Notify", "u", "m")))),
     edbLabels = Set("l", "f", "p"))
@@ -105,7 +105,7 @@ class SgqParserSpec extends AnyFunSuite {
   test("closure atom over an EDB label produces a PATH over its WSCAN") {
     val p = Program(List(
       Rule(AnswerPredicate, "x", "y", List(
-        Atom("a", "x", "y", closure = true, closureAs = Some("ap"))))),
+        Atom("a", "x", "y", closureAs = Some("ap"))))),
       edbLabels = Set("a"))
     val e = SgqParser.parse(p, 30, 3)
     val path = e.asInstanceOf[SgaExpr.Pattern].ins.head.asInstanceOf[SgaExpr.Path]

@@ -2,7 +2,7 @@ package repro.physical
 
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Dfa, SgaExpr}
+import repro.core.{Dfa, Regex, SgaExpr}
 import repro.core.Model.{Edge, Sge, Sgt}
 import repro.engine.Engine
 import repro.streams.Workloads
@@ -22,9 +22,10 @@ import scala.collection.mutable
   * vertices that left the window. The same streams check PATH (Q1–Q3),
   * PATTERN (Q5) and PATH over PATTERN (Q8) in the negative-tuple and
   * differential modes against brute force, and Q4 (its canonical plan
-  * and P1–P3), Q6 and Q7 in every mode. A third generator draws dense
-  * single-label streams, cycles and self-loops on six vertices, for Q1
-  * and Q8 in every mode.
+  * and P1–P3), Q6 and Q7 in every mode, and that every NT insertion of
+  * Q1–Q3 carries a witness. A third generator draws dense single-label
+  * streams, cycles and self-loops on six vertices, for Q1, Q8 and
+  * `(a a)+` (whose label leads into two DFA states) in every mode.
   */
 class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
 
@@ -147,21 +148,22 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
 
   /** Why the path of PATH result `r` is not a witness, if it is not: a
     * witness is a non-empty path from `r.src` to `r.trg` whose edges
-    * connect end to end, spell a word that `dfa` accepts, and are all in
-    * `ingested` (each edge ingested so far, to its largest WSCAN expiry)
-    * with an expiry of at least `r.exp`.
+    * connect end to end, spell a word that `dfa` accepts, and are all
+    * `live`.
     */
-  private def notWitness(dfa: Dfa, ingested: collection.Map[Edge, Long], r: Sgt): Option[String] = {
+  private def notWitness(dfa: Dfa, live: Edge => Boolean, r: Sgt): Option[String] = {
     val path = r.path
     if (path.isEmpty) Some("empty path")
     else if (path.head.src != r.src || path.last.trg != r.trg) Some("path does not run from src to trg")
     else if (path.zip(path.tail).exists { case (e, f) => e.trg != f.src }) Some("edges do not connect")
-    else if (!path.foldLeft(Option(dfa.start))((s, e) => s.flatMap(dfa.delta(_, e.label))).exists(dfa.finals))
-      Some("word not accepted")
-    else path.find(e => ingested.get(e).forall(_ < r.exp)).map(e => s"$e is not ingested valid until ${r.exp}")
+    else if (!dfa.accepts(path.map(_.label))) Some("word not accepted")
+    else path.find(e => !live(e)).map(e => s"$e is not live")
   }
 
-  /** Every result of `q` on a stream of `gen` carries a witness path. */
+  /** Every result of `q` on a stream of `gen` carries a witness path of
+    * edges ingested so far whose largest WSCAN expiry is at least the
+    * result's.
+    */
   private def witnessProp(q: String, gen: Gen[Case]): Prop = Prop.forAll(gen) { c =>
     val expr     = Workloads.expr(q, binding, c.window, c.slide)
     val path     = expr.asInstanceOf[SgaExpr.Path]
@@ -177,7 +179,7 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
       ingested(edge) = ingested.getOrElse(edge, Long.MinValue).max(wscan.expiryOf(e.ts))
       df.ingest(e)
       failure = df.drain().iterator.map(_.sgt)
-        .flatMap(r => notWitness(dfa, ingested, r).map(why => s"$q: $why in $r"))
+        .flatMap(r => notWitness(dfa, x => ingested.get(x).exists(_ >= r.exp), r).map(why => s"$q: $why in $r"))
         .nextOption()
     }
     Prop(failure.isEmpty) :| s"${failure.getOrElse("")}; $c"
@@ -191,6 +193,38 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
       checkProp(witnessProp(q, genChurn))
     }
   }
+
+  /** Every insertion of `q` in NT mode on a stream of `genCase` carries a
+    * witness path of edges in the negative-tuple window at its slide: an
+    * edge stays there until the slide start that deletes its last
+    * instance.
+    */
+  private def ntWitnessProp(q: String): Prop = Prop.forAll(genCase) { c =>
+    val expr      = Workloads.expr(q, binding, c.window, c.slide)
+    val path      = expr.asInstanceOf[SgaExpr.Path]
+    val dfa       = Dfa.fromRegex(path.regex)
+    val wscan     = path.ins.head.asInstanceOf[SgaExpr.Wscan] // all inputs share |W| and β
+    val df        = PhysicalExec.build(expr, Mode.NegativeTuple)
+    val deletedAt = mutable.HashMap.empty[Edge, Long]
+    var failure   = Option.empty[String]
+    var next      = 0L // the next slide start to advance to
+    for (e <- c.stream if failure.isEmpty && df.relevantLabels(e.label)) {
+      while (next <= e.ts) { df.advance(next); next += c.slide }
+      val edge = Edge(e.src, e.trg, e.label)
+      deletedAt(edge) = deletedAt.getOrElse(edge, Long.MinValue).max(wscan.expiryOf(e.ts) / c.slide * c.slide)
+      df.ingest(e)
+      val slideStart = next - c.slide
+      failure = df.drain().iterator.filter(_.sign == 1).map(_.sgt)
+        .flatMap(r => notWitness(dfa, x => deletedAt.get(x).exists(_ > slideStart), r).map(why => s"$q: $why in $r"))
+        .nextOption()
+    }
+    Prop(failure.isEmpty) :| s"${failure.getOrElse("")}; $c"
+  }
+
+  for (q <- Seq("Q1", "Q2", "Q3"))
+    test(s"property: every $q NT insertion carries a witness path of edges in its slide's window") {
+      checkProp(ntWitnessProp(q))
+    }
 
   /** The last instant of the slide of `c`'s last edge that `expr` reads:
     * deletions flow only while slides fire.
@@ -230,10 +264,30 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
       checkProp(agrees(q, mode, genCase)(c => Workloads.expr(q, binding, c.window, c.slide)))
     }
 
-  for (q <- Seq("Q1", "Q8"); mode <- modes)
+  /** `(a a)+` over WSCAN `a`: the label `a` leads into two DFA states. */
+  private def evenA(c: Case): SgaExpr =
+    SgaExpr.Path(List(SgaExpr.Wscan("a", c.window, c.slide)), Regex.parse("(a a)+"), "aa")
+
+  private val densePlans: Seq[(String, Case => SgaExpr)] = Seq(
+    "Q1"     -> (c => Workloads.expr("Q1", binding, c.window, c.slide)),
+    "Q8"     -> (c => Workloads.expr("Q8", binding, c.window, c.slide)),
+    "(a a)+" -> evenA)
+
+  for ((q, plan) <- densePlans; mode <- modes)
     test(s"property: $q on dense single-label streams in $mode mode equals brute force at every slide boundary") {
-      checkProp(agrees(q, mode, genDense)(c => Workloads.expr(q, binding, c.window, c.slide)))
+      checkProp(agrees(q, mode, genDense)(plan))
     }
+
+  test("a deletion under one label into two DFA states is repaired in every mode") {
+    // At t = 2 only 3->0 and 2->0 are in the window, so no even a-path is
+    // left. Each deletion must repair the tuples that `a` derived into
+    // both of its target states, even after repairing one retracted the
+    // source tuple of the other.
+    val c = Case(Vector(Sge(0, 1, "a", 0), Sge(1, 3, "a", 0), Sge(3, 0, "a", 1), Sge(2, 0, "a", 2)), window = 2, slide = 1)
+    assert(BruteForce.snapshot(evenA(c), c.stream, 2).isEmpty)
+    for (mode <- modes)
+      assert(divergence("(a a)+", evenA(c), mode, c, lastFired(evenA(c), c)).isEmpty, s"$mode")
+  }
 
   test("long chains whose head expires mid-stream equal brute force in every mode") {
     // 0 -> 1 -> ... -> 59 arrives one edge per instant, then 59 -> 0 closes

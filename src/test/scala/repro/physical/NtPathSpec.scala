@@ -29,7 +29,7 @@ class NtPathSpec extends AnyFunSuite {
       Set(((x, y, "out"), 1), ((x, z, "out"), 1), ((y, z, "out"), 1)))
   }
 
-  test("deletion without alternative path retracts results (DRed removal)") {
+  test("deletion without alternative path retracts results") {
     val (n, sink) = mkNode()
     n.receive(Delta(sgt(x, y, "a", 1), 1), 0)
     n.receive(Delta(sgt(y, z, "a", 2), 1), 0)
@@ -39,7 +39,7 @@ class NtPathSpec extends AnyFunSuite {
       Set(((x, z, "out"), -1), ((y, z, "out"), -1)))
   }
 
-  test("deletion with an alternative derivation keeps results (re-derivation)") {
+  test("deletion with an alternative derivation keeps results (re-levelling)") {
     val (n, sink) = mkNode()
     // Two disjoint paths x→z: via y and via u.
     n.receive(Delta(sgt(x, y, "a", 1), 1), 0)
