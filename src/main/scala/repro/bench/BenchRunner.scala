@@ -162,7 +162,7 @@ object BenchRunner {
         "usage: spark-submit --class repro.bench.BenchRunner <jar> table2|planspace|sensitivity")
     }
     val name = args(0)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .appName(s"repro-$name")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()

@@ -20,10 +20,10 @@ object Mode {
   case object Direct extends Mode
   case object NegativeTuple extends Mode
   /** Differential-Dataflow-style baseline: like [[NegativeTuple]] for
-    * windows/joins, but PATH is a round-stratified incremental fixpoint
-    * ([[DdPathNode]]) — tuples live at their minimal iteration round and
-    * window churn forces round re-stabilization, the cost profile of
-    * DD's `iterate` + `distinct` (paper §7.2.2).
+    * windows/joins, and PATH ([[DdPathNode]]) keeps each tuple at its
+    * minimal iteration round of DD's `iterate` + `distinct` (paper
+    * §7.2.2): a window change moves or retracts each affected tuple
+    * once. It repairs like NT; its results carry no path.
     */
   case object Differential extends Mode
 
@@ -61,9 +61,9 @@ abstract class Node {
 
   /** Search work, for metrics; 0 outside PATH. S-PATH counts the
     * Expand/Propagate frames it pops (stale ones included); NT and DD the
-    * pops of their insertion wave and the steps of their repair (NT's
-    * in-edge probes and re-levelling visits, DD's in-neighbour scans and
-    * successor re-queues).
+    * pops of their insertion wave and the steps of their shared repair
+    * (in-edge probes and re-levelling visits), so on one input the two
+    * count the same.
     */
   var traversalSteps: Long = 0L
 }

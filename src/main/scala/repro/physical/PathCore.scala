@@ -163,22 +163,17 @@ object PathForest {
   * §7.2.2): the window is an evolving edge collection whose expirations
   * arrive as explicit deletions from the negative-tuple WSCAN. Both
   * operators keep the [[PathForest]] of per-root BFS levels, which are
-  * DD's minimal iteration rounds, grow it by one insertion wave and emit
-  * through one [[CountingDistinct]]. They differ in two hooks: what an
-  * insertion carries ([[inserted]]) and how a deletion is repaired
-  * ([[repair]]).
+  * DD's minimal iteration rounds, grow it by one insertion wave, repair
+  * a deletion by one decremental BFS and emit through one
+  * [[CountingDistinct]]. They differ only in what an insertion carries
+  * ([[inserted]]).
   */
 sealed abstract class NegativeTuplePathNode(regex: Regex, outLabel: String) extends Node {
   val dfa: Dfa = Dfa.fromRegex(regex)
 
   protected val graph  = new WindowGraph(dfa)
-  protected val forest = new PathForest(dfa)
+  private val forest   = new PathForest(dfa)
   private val counting = new CountingDistinct
-
-  /** A tuple `(v, q)` of `tree` that the deleted edge derived from a
-    * tuple of `tree`; `tight` if its level was that tuple's plus one.
-    */
-  protected final class Start(val tree: Tree, val v: Long, val q: Int, val tight: Boolean)
 
   override def receive(d: Delta, slot: Int): Unit =
     if (d.sign == 1) insert(d.sgt) else delete(d.sgt)
@@ -211,31 +206,30 @@ sealed abstract class NegativeTuplePathNode(regex: Regex, outLabel: String) exte
     for ((v, s) <- fresh) emitResult(tree, v, s, +1)
   }
 
-  /** Collects every start before repairing any: a repair may retract the
-    * `(t.src, s)` of a later transition whose `(t.trg, q)` still needs it.
-    * A tree goes once only its root is left.
+  /** Re-levels, per tree, the tuples `(t.trg, q)` whose level the
+    * deleted edge was tight on (its source's plus one); it supported no
+    * other level. Collects every start before repairing any: a repair may
+    * retract the `(t.src, s)` of a later transition whose `(t.trg, q)`
+    * still needs it. A tree goes once only its root is left; only a
+    * re-levelled tree shrinks, as no transition enters the DFA's start.
     */
   private def delete(t: Sgt): Unit =
     if (graph.delete(t)) {
       val starts = for {
         (s, q) <- dfa.transitionsOn(t.label)
         tree   <- forest.treesWith(t.src, s)
-        lq     <- tree.levels.get(key(t.trg, q))
-      } yield new Start(tree, t.trg, q, lq == tree.levels(key(t.src, s)) + 1)
-      repair(starts)
-      for (st <- starts if st.tree.size == 1) forest.removeTree(st.tree)
+        kq      = key(t.trg, q)
+        if tree.levels.get(kq).contains(tree.levels(key(t.src, s)) + 1)
+      } yield (tree, kq)
+      for ((tree, ks) <- starts.groupMap(_._1)(_._2)) relevel(tree, ks)
+      for ((tree, _) <- starts if tree.size == 1) forest.removeTree(tree)
     }
-
-  /** Two-phase decremental BFS on unit weights (Ramalingam & Reps,
-    * J. Algorithms 1996), once per tree over the starts where the deleted
-    * edge was tight; elsewhere it supported no level.
-    */
-  protected def repair(starts: Seq[Start]): Unit =
-    for ((tree, ks) <- starts.filter(_.tight).groupMap(_.tree)(st => key(st.v, st.q)))
-      relevel(tree, ks)
 
   private val lowestLevelFirst = Ordering.by[(Int, Long), Int](-_._1)
 
+  /** Two-phase decremental BFS on unit weights (Ramalingam & Reps,
+    * J. Algorithms 1996) from the tuples `starts` of `tree`.
+    */
   private def relevel(tree: Tree, starts: Seq[Long]): Unit = {
     // Phase 1, in level order: the affected set, the tuples left with no
     // in-neighbour one level lower outside it. Entries are (level, key);
@@ -297,7 +291,7 @@ sealed abstract class NegativeTuplePathNode(regex: Regex, outLabel: String) exte
     * counting DISTINCT. Identity is values-only, with a vacuous interval,
     * so downstream operators match a retraction against its insertion.
     */
-  protected final def emitResult(tree: Tree, v: Long, s: Int, sign: Int): Unit = {
+  private def emitResult(tree: Tree, v: Long, s: Int, sign: Int): Unit = {
     val out = Sgt(tree.rootV, v, outLabel, 0L, Long.MaxValue, List(Edge(tree.rootV, v, outLabel)))
     counting.offer(Delta(out, sign)).foreach(d => emit(if (sign == 1) inserted(tree, s, d) else d))
   }
@@ -343,78 +337,13 @@ final class NtPathNode(regex: Regex, outLabel: String) extends NegativeTuplePath
 /** PATH under the Differential-Dataflow baseline of paper §7.2.2.
   *
   * DD evaluates a PATH as `base.iterate(r => distinct(r.join(edges) ++
-  * base))`: every reachability tuple lives at its *minimal iteration
-  * round*, and the arrangements that back `iterate`/`distinct` must be
-  * re-stabilized whenever a window slide inserts or deletes edges — a
-  * tuple whose minimal round changes produces churn in every affected
-  * round. This operator reproduces that cost profile by keeping, per root
-  * vertex, the minimal round (BFS level in the DFA-product graph) of
-  * every `(vertex, state)` tuple:
-  *
-  *  - edge insertion ⇒ level-decrease relaxations (cheap, monotone);
-  *  - edge deletion ⇒ suspect tuples must recompute their level from
-  *    in-neighbours and increases cascade (the expensive re-stabilization,
-  *    including count-to-∞ rounds on cycles until tuples drop out).
-  *
-  * On tree-shaped inputs levels are unique and stable, so deletions stay
-  * cheap — which is exactly why DD wins on LDBC's `replyOf` but loses on
-  * the dense cyclic SO graph in the paper's Table 2. Its results carry the
-  * derived edge only: DD's dataflow cannot report paths (§7.2.2).
+  * base))` and keeps each reachability tuple at its *minimal iteration
+  * round*, the BFS level this operator keeps per root in the
+  * DFA-product graph. Its differences are indexed by round (McSherry et
+  * al., CIDR 2013), so an insertion lowers rounds by one monotone wave,
+  * and a deletion costs each affected tuple one round move or one
+  * retraction, which is what the shared decremental BFS pays. Its
+  * results carry the derived edge only: DD's dataflow cannot report
+  * paths (§7.2.2).
   */
-final class DdPathNode(regex: Regex, outLabel: String) extends NegativeTuplePathNode(regex, outLabel) {
-
-  /** Every tree holding the source tuple of the deleted edge must
-    * re-stabilize the target tuple (and transitively its successors).
-    */
-  override protected def repair(starts: Seq[Start]): Unit =
-    for (st <- starts) restabilize(st.tree, st.v, st.q)
-
-  /** Level-increase repair: recompute a suspect's minimal round from its
-    * in-neighbours; increases cascade to successors, and tuples whose
-    * level exceeds the finite-round bound drop out (count-to-∞ on
-    * cycles, then retraction) — DD's expensive backward re-stabilization.
-    */
-  private def restabilize(tree: Tree, v0: Long, s0: Int): Unit = {
-    val queue = mutable.Queue((v0, s0))
-    while (queue.nonEmpty) {
-      val (v, s) = queue.dequeue()
-      val k = key(v, s)
-      if (v != tree.rootV || s != dfa.start) {
-        tree.levels.get(k) match {
-          case None => ()
-          case Some(cur) =>
-            // A level is bounded by the number of live tuples; beyond
-            // that the tuple is underivable.
-            val bound = tree.levels.size
-            var best  = Int.MaxValue
-            graph.foreachPredecessor(v, s) { (u, sp) =>
-              traversalSteps += 1
-              tree.levels.get(key(u, sp)) match {
-                case Some(lu) if u != v || sp != s => best = math.min(best, lu + 1)
-                case _                             => ()
-              }
-            }
-            if (best == cur) ()
-            else if (best > bound) { // underivable: retract and cascade
-              tree.levels.remove(k)
-              forest.unindex(v, s, tree)
-              if (dfa.finals.contains(s)) emitResult(tree, v, s, -1)
-              enqueueSuccessors(tree, v, s, queue)
-            } else if (best != cur) { // round shifted: re-stabilize successors
-              tree.levels(k) = best
-              enqueueSuccessors(tree, v, s, queue)
-            }
-        }
-      }
-    }
-  }
-
-  private def enqueueSuccessors(tree: Tree, v: Long, s: Int,
-                                queue: mutable.Queue[(Long, Int)]): Unit =
-    graph.foreachSuccessor(v, s) { (w, q) =>
-      if (tree.levels.contains(key(w, q))) {
-        traversalSteps += 1
-        queue.enqueue((w, q))
-      }
-    }
-}
+final class DdPathNode(regex: Regex, outLabel: String) extends NegativeTuplePathNode(regex, outLabel)

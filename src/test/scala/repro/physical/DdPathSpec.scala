@@ -52,7 +52,7 @@ class DdPathSpec extends AnyFunSuite {
     assert(n.traversalSteps > 0)
   }
 
-  test("cycle deletion counts to the bound and drops unreachable tuples") {
+  test("cycle deletion drops unreachable tuples") {
     val (n, sink) = mkNode()
     n.receive(Delta(sgt(x, y, "a"), 1), 0)
     n.receive(Delta(sgt(y, x, "a"), 1), 0)
@@ -60,6 +60,26 @@ class DdPathSpec extends AnyFunSuite {
     n.receive(Delta(sgt(x, y, "a"), -1), 0)
     val retracted = sink.filter(_.sign == -1).map(_.sgt.key).toSet
     assert(retracted == Set((x, y, "out"), (x, x, "out"), (y, y, "out")))
+  }
+
+  test("deleting the entry edge of a clique visits each affected tuple about twice") {
+    // K_30 of `a` edges plus the entry edge r -> 0. Without it nothing
+    // reaches the clique from r, so r's 30 results go and its tree with
+    // them; the 30 clique trees of 31 tuples stay. Levels must not be
+    // counted upward round by round until they pass a bound.
+    val (n, sink) = mkNode()
+    val m     = 30L
+    val r     = m
+    val edges = (for (i <- 0L until m; j <- 0L until m if i != j) yield sgt(i, j, "a")) :+ sgt(r, 0L, "a")
+    for (e <- edges) n.receive(Delta(e, 1), 0)
+    sink.clear()
+    val before = n.traversalSteps
+    n.receive(Delta(sgt(r, 0L, "a"), -1), 0)
+    val steps = n.traversalSteps - before
+    assert(steps <= 4L * edges.size, s"$steps steps for ${edges.size} window edges")
+    assert(sink.map(d => (d.sgt.key, d.sign)).sorted ==
+      (0L until m).map(i => ((r, i, "out"), -1)).sorted)
+    assert(n.stateSize == m * (m + 1))
   }
 
   test("deletion cascades round shifts through successors") {

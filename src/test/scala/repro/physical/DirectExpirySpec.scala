@@ -28,8 +28,7 @@ import scala.collection.mutable
   * `(a a)+` (whose label leads into two DFA states) in every mode.
   */
 class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
-
-  private final case class Case(stream: Vector[Sge], window: Long, slide: Long)
+  import DirectExpirySpec.Case
 
   private val labels = Seq("a", "b", "c")
 
@@ -303,10 +302,30 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
     }
   }
 
+  test("a dense clique whose entry edge expires mid-stream equals brute force in every mode") {
+    // r -> 0 arrives first and enters K_12 of `a` edges, which arrive over
+    // instants 1-10 and are re-sent every 10 instants, so the clique stays
+    // live while the entry edge expires at t = 15. Then no tuple of r's
+    // tree is derivable, though each sits on cycles of the clique.
+    val (m, r) = (12L, 12L)
+    val clique = for (k <- 0L until 4L; i <- 0L until m; j <- 0L until m if i != j)
+      yield Sge(i, j, "a", 1 + 10 * k + (i * m + j) % 10)
+    val c = Case((Sge(r, 0L, "a", 0L) +: clique.sortBy(_.ts)).toVector, window = 15, slide = 2)
+    for ((q, plan) <- densePlans.filterNot(_._1 == "Q8"); mode <- modes) {
+      val expr = plan(c)
+      val last = if (mode == Mode.Direct) c.stream.last.ts + c.window + c.slide else lastFired(expr, c)
+      assert(divergence(q, expr, mode, c, last).isEmpty, s"$q $mode")
+    }
+  }
+
   test("negative-tuple modes reject a window shorter than its slide") {
     val expr = Workloads.expr("Q5", binding, 2, 5)
     for (mode <- Seq(Mode.NegativeTuple, Mode.Differential))
       intercept[IllegalArgumentException](PhysicalExec.build(expr, mode))
     PhysicalExec.build(expr, Mode.Direct) // no deletions to schedule
   }
+}
+
+object DirectExpirySpec {
+  private final case class Case(stream: Vector[Sge], window: Long, slide: Long)
 }
