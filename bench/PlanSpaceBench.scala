@@ -3,10 +3,10 @@ package repro.bench
 import repro.SparkSpec
 
 /** §7.4 plan-space micro-benchmark (paper Figs. 8 & 9, reported here as
-  * tables): equivalent physical plans for Q4 — the canonical
-  * loop-caching plan `P_{d+}(⋈(a,b,c))` vs. the rewritten plans P1–P3
-  * obtained through SGA transformation rules — plus the Q2/Q3
-  * alternative plans, all on the direct-approach engine.
+  * tables): the equivalent plans that `Rewriter.plans` derives through
+  * the SGA transformation rules, all on the direct-approach engine — for
+  * Q4 the canonical loop-caching plan `P_{d+}(⋈(a,b,c))` and P1–P3, for
+  * Q2 and Q3 the canonical plan and its star expansion.
   */
 class PlanSpaceBench extends SparkSpec {
 

@@ -186,7 +186,7 @@ final class SPathNode(regex: Regex, outLabel: String) extends Node {
   private val frontier   = new Frontier
 
   override def receive(d: Delta, slot: Int): Unit = {
-    require(d.sign == 1, "S-PATH is the direct-approach operator; use NtPathNode for negative tuples")
+    require(d.sign == 1, "S-PATH is the direct-approach operator; negative tuples go to NtPathNode or DdPathNode")
     val t = d.sgt
     val l = dfa.labelId(t.label)
     if (l < 0) return // no DFA transition reads this label

@@ -7,8 +7,9 @@ import repro.core.Regex.{Lbl, Plus, Star}
   *
   * `Q1–Q4` are RPQs evaluated by a PATH operator; `Q4`'s canonical plan
   * is the loop-caching form `P_{d+}(⋈(a,b,c))` generated by SGQParser
-  * from its RQ encoding (paper §7.4). `Q5–Q8` are RQ programs translated
-  * by [[SgqParser]]. `a`, `b`, `c` are edge-predicate placeholders bound
+  * from its RQ encoding, and `repro.core.Rewriter.plans` derives the
+  * other plans of §7.4. `Q5–Q8` are RQ programs translated by
+  * [[SgqParser]]. `a`, `b`, `c` are edge-predicate placeholders bound
   * per dataset (paper: "instantiated based on the dataset
   * characteristics"); Kleene `a*` in Q1 is evaluated as `a+` — empty
   * paths are excluded uniformly in every layer of this repo.
@@ -94,42 +95,5 @@ object Workloads {
           program(q, bind).getOrElse(throw new IllegalArgumentException(s"unknown query $q")),
           windowSize, slide)
     }
-  }
-
-  /** The four equivalent Q4 plans of the paper's §7.4 micro-benchmark. */
-  def q4Plans(bind: Binding, windowSize: Long, slide: Long): Map[String, SgaExpr] = {
-    val Binding(a, b, c) = bind
-    def wa = w(a, windowSize, slide); def wb = w(b, windowSize, slide); def wc = w(c, windowSize, slide)
-    Map(
-      "SGA" -> expr("Q4", bind, windowSize, slide),
-      "P1"  -> SgaExpr.Path(List(wa, wb, wc), Plus(Regex.concat(Lbl(a), Lbl(b), Lbl(c))), "Answer"),
-      "P2"  -> SgaExpr.Path(List(wa, SgaExpr.chain(List(wb, wc), "d")), Plus(Regex.concat(Lbl(a), Lbl("d"))), "Answer"),
-      "P3"  -> SgaExpr.Path(List(SgaExpr.chain(List(wa, wb), "d"), wc), Plus(Regex.concat(Lbl("d"), Lbl(c))), "Answer"))
-  }
-
-  /** Alternative plan for Q2 (paper Fig. 9a): pull the concatenation out
-    * of PATH. Since all layers match non-empty paths,
-    * `a∘b* = a ∪ (a ⋈ b⁺)`.
-    */
-  def q2AltPlan(bind: Binding, windowSize: Long, slide: Long): SgaExpr = {
-    val Binding(a, b, _) = bind
-    def wa = w(a, windowSize, slide)
-    val bp = SgaExpr.Path(List(w(b, windowSize, slide)), Plus(Lbl(b)), "bp")
-    SgaExpr.Union(List(wa, SgaExpr.chain(List(wa, bp), "abp")), "Answer")
-  }
-
-  /** Alternative plan for Q3 (paper Fig. 9b):
-    * `a∘b*∘c* = a ∪ a·b⁺ ∪ a·c⁺ ∪ a·b⁺·c⁺` over non-empty paths.
-    */
-  def q3AltPlan(bind: Binding, windowSize: Long, slide: Long): SgaExpr = {
-    val Binding(a, b, c) = bind
-    def wa = w(a, windowSize, slide)
-    def bp = SgaExpr.Path(List(w(b, windowSize, slide)), Plus(Lbl(b)), "bp")
-    def cp = SgaExpr.Path(List(w(c, windowSize, slide)), Plus(Lbl(c)), "cp")
-    SgaExpr.Union(List(
-      wa,
-      SgaExpr.chain(List(wa, bp), "abp"),
-      SgaExpr.chain(List(wa, cp), "acp"),
-      SgaExpr.chain(List(wa, bp, cp), "abcp")), "Answer")
   }
 }

@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.Rewriter
 import repro.physical.PhysicalExec
 import repro.streams.Workloads
 
@@ -24,6 +25,18 @@ class BenchConfigSpec extends AnyFunSuite {
 
     test(s"$name: every config builds a physical plan in its mode") {
       for (c <- configs) withClue(s"$c: ")(PhysicalExec.build(c.expr, c.mode))
+    }
+  }
+
+  test("planspace: the 12 plan-space rows are the plans Rewriter derives from each query") {
+    val keys = BenchRunner.planSpace.map(c => (c.graph, c.query))
+    val want = (for (g <- Seq("SO", "LDBC"); p <- Seq("SGA", "P1", "P2", "P3")) yield (g, s"Q4/$p")) ++
+               (for (q <- Seq("Q2", "Q3"); p <- Seq("SGA", "alt")) yield ("SO", s"$q/$p"))
+    assert(keys.sorted == want.sorted)
+    for (c <- BenchRunner.planSpace) {
+      val q    = c.query.takeWhile(_ != '/')
+      val bind = if (c.graph == "SO") Workloads.soBinding(q) else Workloads.ldbcBinding(q)
+      assert(Rewriter.plans(Workloads.expr(q, bind, 30 * BenchRunner.Day, c.slide)).contains(c.expr), s"$c")
     }
   }
 

@@ -1,7 +1,7 @@
 package repro.engine
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.SgaExpr
+import repro.core.{Rewriter, SgaExpr}
 import repro.core.Model.Sge
 import repro.physical.Mode
 import repro.streams.Workloads
@@ -87,24 +87,26 @@ class EngineEquivalenceSpec extends AnyFunSuite {
     assert(err.getMessage.contains("sge 2 has ts 4 < ts 5 of sge 1"), err.getMessage)
   }
 
+  /** Every plan of `q`'s plan space, `size` plans, has canonical `q`'s
+    * brute-force answers and agrees with brute force in every mode.
+    */
+  private def assertPlanSpace(q: String, size: Int, stream: Vector[Sge]): Unit = {
+    val plans = Rewriter.plans(Workloads.expr(q, binding, window, slide))
+    assert(plans.size == size, s"$q: ${plans.size} plans")
+    for ((plan, i) <- plans.zipWithIndex) {
+      for (t <- checkTimes(stream))
+        assert(BruteForce.snapshot(plan, stream, t) == BruteForce.snapshot(plans.head, stream, t),
+               s"$q plan $i differs from the canonical plan at t=$t")
+      assertEquivalent(plan, stream, s"$q/plan $i")
+    }
+  }
+
   test("Q4 plan variants all agree with brute force (plan-space soundness, §7.4)") {
-    val stream = randomStream(11, nVertices = 8, nEdges = 120)
-    for ((name, plan) <- Workloads.q4Plans(binding, window, slide))
-      assertEquivalent(plan, stream, s"Q4/$name")
+    assertPlanSpace("Q4", 4, randomStream(11, nVertices = 8, nEdges = 120))
   }
 
   test("Q2/Q3 alternative plans agree with brute force and the canonical plan") {
-    val stream = randomStream(13)
-    for (t <- checkTimes(stream)) {
-      val canQ2 = BruteForce.snapshot(Workloads.expr("Q2", binding, window, slide), stream, t)
-      val altQ2 = BruteForce.snapshot(Workloads.q2AltPlan(binding, window, slide), stream, t)
-      assert(canQ2 == altQ2, s"Q2 alt plan differs at t=$t")
-      val canQ3 = BruteForce.snapshot(Workloads.expr("Q3", binding, window, slide), stream, t)
-      val altQ3 = BruteForce.snapshot(Workloads.q3AltPlan(binding, window, slide), stream, t)
-      assert(canQ3 == altQ3, s"Q3 alt plan differs at t=$t")
-    }
-    assertEquivalent(Workloads.q2AltPlan(binding, window, slide), stream, "Q2/alt")
-    assertEquivalent(Workloads.q3AltPlan(binding, window, slide), stream, "Q3/alt")
+    for (q <- Seq("Q2", "Q3")) assertPlanSpace(q, 2, randomStream(13))
   }
 
   test("FILTER commutes with WSCAN behaviourally (§5.4 rule 1)") {

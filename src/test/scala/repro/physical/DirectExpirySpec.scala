@@ -2,7 +2,8 @@ package repro.physical
 
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Dfa, Regex, SgaExpr}
+import repro.bench.BenchRunner
+import repro.core.{Dfa, Regex, Rewriter, SgaExpr}
 import repro.core.Model.{Edge, Sge, Sgt}
 import repro.engine.Engine
 import repro.streams.Workloads
@@ -21,8 +22,9 @@ import scala.collection.mutable
   * moves vertex ids with time, so S-PATH recycles the dense ids of
   * vertices that left the window. The same streams check PATH (Q1–Q3),
   * PATTERN (Q5) and PATH over PATTERN (Q8) in the negative-tuple and
-  * differential modes against brute force, and Q4 (its canonical plan
-  * and P1–P3), Q6 and Q7 in every mode, and that every NT insertion of
+  * differential modes against brute force, and Q6, Q7 and every plan
+  * that `Rewriter.plans` derives from Q2, Q3, Q4 and two one-rule seeds
+  * in every mode, and that every NT insertion of
   * Q1–Q3 carries a witness. A third generator draws dense single-label
   * streams, cycles and self-loops on six vertices, for Q1, Q8 and
   * `(a a)+` (whose label leads into two DFA states) in every mode.
@@ -80,12 +82,14 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
     Prop(failure.isEmpty) :| s"${failure.getOrElse("")}; $c"
   }
 
-  /** The first slide boundary up to `last` at which `mode`'s answers
-    * differ from brute force, if any.
+  /** The first slide boundary up to `last` at which `mode`'s answers for
+    * `expr` differ from brute force of `spec` (by default `expr`), if any.
     */
-  private def divergence(q: String, expr: SgaExpr, mode: Mode, c: Case, last: Long): Option[String] = {
-    val run = Engine.run(expr, mode, c.stream, c.slide)
-    (c.slide - 1 to last by c.slide).find(t => run.snapshotAt(t) != BruteForce.snapshot(expr, c.stream, t))
+  private def divergence(q: String, expr: SgaExpr, mode: Mode, c: Case, last: Long,
+                         spec: Option[SgaExpr] = None): Option[String] = {
+    val run  = Engine.run(expr, mode, c.stream, c.slide)
+    val want = spec.getOrElse(expr)
+    (c.slide - 1 to last by c.slide).find(t => run.snapshotAt(t) != BruteForce.snapshot(want, c.stream, t))
       .map(t => s"$q $mode: answers diverge from brute force at t=$t")
   }
 
@@ -232,17 +236,19 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
     c.stream.filter(e => expr.inputLabels(e.label)).lastOption
       .fold(0L)(e => e.ts / c.slide * c.slide + c.slide - 1)
 
-  /** `q`'s plan `plan(c)` in `mode` equals brute force on every stream of
-    * `gen`: at every slide boundary that fires under negative tuples, and
-    * under direct expiry also at every later one until the window is empty.
+  /** `q`'s plan `plan(c)` in `mode` equals brute force of `spec(c)` (by
+    * default of the plan itself) on every stream of `gen`: at every slide
+    * boundary that fires under negative tuples, and under direct expiry
+    * also at every later one until the window is empty.
     */
-  private def agrees(q: String, mode: Mode, gen: Gen[Case])(plan: Case => SgaExpr): Prop =
+  private def agrees(q: String, mode: Mode, gen: Gen[Case], spec: Option[Case => SgaExpr] = None)
+                    (plan: Case => SgaExpr): Prop =
     Prop.forAll(gen) { c =>
       val expr    = plan(c)
       val last    =
         if (mode == Mode.Direct) c.stream.lastOption.fold(0L)(_.ts) + c.window + c.slide
         else lastFired(expr, c)
-      val failure = divergence(q, expr, mode, c, last)
+      val failure = divergence(q, expr, mode, c, last, spec.map(_(c)))
       Prop(failure.isEmpty) :| s"${failure.getOrElse("")}; $c"
     }
 
@@ -253,10 +259,28 @@ class DirectExpirySpec extends AnyFunSuite with PropertyChecks {
       checkProp(agrees(q, mode, genCase)(c => Workloads.expr(q, binding, c.window, c.slide)))
     }
 
-  for (plan <- Seq("SGA", "P1", "P2", "P3"); mode <- modes)
-    test(s"property: Q4 plan $plan in $mode mode equals brute force at every slide boundary") {
-      checkProp(agrees(s"Q4/$plan", mode, genCase)(c => Workloads.q4Plans(binding, c.window, c.slide)(plan)))
+  /** Seeds of the rewrite rules, over `(window, slide)`: Q2 and Q3 (star
+    * expansion), Q4 (fold and factor), and one-rule PATHs for rules
+    * "Alternation" and "Concatenation". Each plan that `Rewriter.plans`
+    * derives from a seed must give the seed's brute-force answers, which
+    * checks the rule as well as the engine. Canonical Q2 and Q3 run in
+    * every mode above, so only their alternatives run here.
+    */
+  private val ruleSeeds: Seq[(String, (Long, Long) => SgaExpr)] = {
+    def path(regex: String)(size: Long, slide: Long) =
+      SgaExpr.Path(List(SgaExpr.Wscan("a", size, slide), SgaExpr.Wscan("b", size, slide)), Regex.parse(regex), "Answer")
+    Seq("Q2" -> (Workloads.expr("Q2", binding, _, _)), "Q3" -> (Workloads.expr("Q3", binding, _, _)),
+        "Q4" -> (Workloads.expr("Q4", binding, _, _)), "P_{a|b}" -> path("a | b"), "P_{a b}" -> path("a b"))
+  }
+
+  for ((q, seed) <- ruleSeeds; n = Rewriter.plans(seed(1, 1)).size;
+       i <- 0 until n if i > 0 || !Set("Q2", "Q3")(q); mode <- modes) {
+    val plan = BenchRunner.planName(i, n)
+    test(s"property: $q plan $plan in $mode mode equals brute force at every slide boundary") {
+      checkProp(agrees(s"$q/$plan", mode, genCase, Some(c => seed(c.window, c.slide)))(
+        c => Rewriter.plans(seed(c.window, c.slide))(i)))
     }
+  }
 
   for (q <- Seq("Q6", "Q7"); mode <- modes)
     test(s"property: $q in $mode mode equals brute force at every slide boundary") {
