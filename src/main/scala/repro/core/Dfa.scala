@@ -20,13 +20,6 @@ final case class Dfa(
 
   val alphabet: Set[String] = transitions.keysIterator.map(_._2).toSet
 
-  // Per-label and reverse transition indexes, built once; each group
-  // keeps the iteration order of `transitions`.
-  private val byLabel: Map[String, Seq[(Int, Int)]] =
-    transitions.toSeq.groupMap(_._1._2) { case ((s, _), t) => (s, t) }
-  private val byTarget: Map[(String, Int), Seq[Int]] =
-    transitions.toSeq.groupMap { case ((_, l), t) => (l, t) }(_._1._1)
-
   /** The alphabet in dense-id order: `labels(labelId(l)) == l`. Callers
     * that store ids may compare these interned strings by reference.
     */
@@ -45,19 +38,9 @@ final case class Dfa(
   /** `delta` on a dense label id: the target state, or −1 for none. */
   def step(s: Int, l: Int): Int = table(s * labels.length + l)
 
-  val isFinal: Array[Boolean] = Array.tabulate(nStates)(finals.contains)
+  val isFinal: Array[Boolean] = Array.tabulate(nStates)(finals)
 
   def delta(s: Int, l: String): Option[Int] = transitions.get((s, l))
-
-  /** All `(s, t)` state pairs with `δ(s, l) = t` — the probe set of the
-    * S-PATH main loop (paper Alg. S-PATH line 6).
-    */
-  def transitionsOn(l: String): Seq[(Int, Int)] = byLabel.getOrElse(l, Nil)
-
-  /** All states `s` with `δ(s, l) = t` — the in-neighbour probe of the
-    * negative-tuple PATH operators' re-derivation.
-    */
-  def sourcesInto(l: String, t: Int): Seq[Int] = byTarget.getOrElse((l, t), Nil)
 
   /** Run the DFA on a word; used by property tests. */
   def accepts(word: Seq[String]): Boolean = {
@@ -66,7 +49,7 @@ final case class Dfa(
       case Some(t) => s = t
       case None    => return false
     }
-    finals.contains(s)
+    isFinal(s)
   }
 }
 

@@ -12,18 +12,43 @@ import scala.collection.mutable
 object Rewriter {
 
   /** `e` first, then every plan reachable from it by rewriting one node at
-    * a time, each expression once, in breadth-first order. A plan reached
-    * in two orders (disjoint factors of a closure of four or more labels)
-    * is listed once per order, under other derived labels.
+    * a time, in breadth-first order. Each plan is listed once, under the
+    * derived labels it was first reached with: a plan reached in two
+    * orders (disjoint factors of a closure of four or more labels) differs
+    * between them only in its derived labels.
     */
   def plans(e: SgaExpr): List[SgaExpr] = {
-    val seen  = mutable.LinkedHashSet(e)
+    val seen  = mutable.LinkedHashMap(derivedRenamed(e) -> e)
     val queue = mutable.Queue(e)
     while (queue.nonEmpty) {
       val p = queue.dequeue()
-      for (q <- rewrites(p, labels(p)) if seen.add(q)) queue.enqueue(q)
+      for (q <- rewrites(p, labels(p))) seen.getOrElseUpdate(derivedRenamed(q), { queue.enqueue(q); q })
     }
-    seen.toList
+    seen.values.toList
+  }
+
+  /** `e` with each derived label (neither an input stream's nor `Answer`)
+    * renamed by its first appearance, children before parents: two
+    * expressions are the same plan iff their renamings are equal.
+    */
+  private[core] def derivedRenamed(e: SgaExpr): SgaExpr = {
+    val names = mutable.Map.empty[String, String]
+    def name(l: String) = if (e.inputLabels(l) || l == "Answer") l else names.getOrElseUpdate(l, s"#${names.size}")
+    def regex(r: Regex): Regex = r match {
+      case Regex.Lbl(l)     => Regex.Lbl(name(l))
+      case Regex.Concat(rs) => Regex.Concat(rs.map(regex))
+      case Regex.Alt(rs)    => Regex.Alt(rs.map(regex))
+      case Regex.Star(r)    => Regex.Star(regex(r))
+      case Regex.Plus(r)    => Regex.Plus(regex(r))
+    }
+    def go(x: SgaExpr): SgaExpr = x match {
+      case s: SgaExpr.Wscan                 => s
+      case SgaExpr.Filter(in, p)            => SgaExpr.Filter(go(in), p)
+      case SgaExpr.Union(ins, d)            => val is = ins.map(go); SgaExpr.Union(is, name(d))
+      case SgaExpr.Pattern(ins, q, s, t, d) => val is = ins.map(go); SgaExpr.Pattern(is, q, s, t, name(d))
+      case SgaExpr.Path(ins, r, d)          => val is = ins.map(go); SgaExpr.Path(is, regex(r), name(d))
+    }
+    go(e)
   }
 
   /** One rule applied at one node of `e`, in every way; `used` holds the

@@ -6,69 +6,68 @@ import repro.physical.PathForest.{Tree, key, stateOf, vertexOf}
 import scala.collection.mutable
 
 /** The window content of the negative-tuple PATH operators
-  * ([[NegativeTuplePathNode]]): a counted edge multiset plus
-  * forward/reverse adjacency over the distinct edges present. `insert`
-  * and `delete` report whether the distinct graph changed; duplicates
-  * only move a count.
+  * ([[NegativeTuplePathNode]]): the counted forward adjacency, from each
+  * source to the [[PathForest.key]] `(target, label id)` of its edges and
+  * their multiplicity, and the reverse adjacency over the distinct edges.
+  * `insert` and `delete` report whether the distinct graph changed;
+  * duplicates only move a count. A vertex leaves with its last edge.
   *
   * [[SPathNode]] keeps its own adjacency: it coalesces duplicates on max
   * expiry instead of counting them, and expires entries by timestamp.
   */
 final class WindowGraph(dfa: Dfa) {
-  private val edgeCounts = mutable.HashMap.empty[(Long, Long, String), Int]
-  private val fwd = mutable.HashMap.empty[Long, mutable.HashSet[(Long, String)]]
-  private val rev = mutable.HashMap.empty[Long, mutable.HashSet[(Long, String)]]
+  private val fwd = mutable.LongMap.empty[mutable.LongMap[Int]]
+  private val rev = mutable.LongMap.empty[mutable.LongMap[Unit]]
 
-  def insert(t: Sgt): Boolean = {
-    val k = (t.src, t.trg, t.label)
-    val c = edgeCounts.getOrElse(k, 0) + 1
-    edgeCounts(k) = c
-    if (c > 1) return false
-    fwd.getOrElseUpdate(t.src, mutable.HashSet.empty) += ((t.trg, t.label))
-    rev.getOrElseUpdate(t.trg, mutable.HashSet.empty) += ((t.src, t.label))
-    true
+  /** Adds edge `src -l-> trg` (label id `l`). Both keys are packed, and
+    * so range-checked, before the window changes.
+    */
+  def insert(src: Long, trg: Long, l: Int): Boolean = {
+    val (out, in) = (key(trg, l), key(src, l))
+    val edges = fwd.getOrElseUpdate(src, mutable.LongMap.empty)
+    val c     = edges.getOrElse(out, 0) + 1
+    edges(out) = c
+    if (c == 1) rev.getOrElseUpdate(trg, mutable.LongMap.empty)(in) = ()
+    c == 1
   }
 
-  def delete(t: Sgt): Boolean = {
-    val k = (t.src, t.trg, t.label)
-    val c = edgeCounts.getOrElse(k, 0) - 1
-    require(c >= 0, s"negative tuple for absent edge $k")
-    if (c > 0) { edgeCounts(k) = c; return false }
-    edgeCounts.remove(k)
-    fwd.get(t.src).foreach(_ -= ((t.trg, t.label)))
-    rev.get(t.trg).foreach(_ -= ((t.src, t.label)))
-    true
+  def delete(src: Long, trg: Long, l: Int): Boolean = {
+    val (out, in) = (key(trg, l), key(src, l))
+    val c = fwd.get(src).flatMap(_.get(out)).getOrElse(0) - 1
+    require(c >= 0, s"negative tuple for absent edge ($src, $trg, ${dfa.labels(l)})")
+    if (c > 0) fwd(src)(out) = c
+    else { drop(fwd, src, out); drop(rev, trg, in) }
+    c == 0
   }
 
-  // δ and δ⁻¹ by label id, so the scans below make no tuple-keyed lookups.
-  private val nStates = dfa.nStates
-  private val sourcesOf: Array[Array[Int]] = Array.tabulate(dfa.labels.length * nStates) { i =>
-    dfa.sourcesInto(dfa.labels(i / nStates), i % nStates).toArray
+  private def drop[V](adj: mutable.LongMap[mutable.LongMap[V]], v: Long, k: Long): Unit = {
+    val m = adj(v)
+    m -= k
+    if (m.isEmpty) adj -= v
   }
+
+  /** The number of vertices with an edge in the window. */
+  private[physical] def vertices: Int = (fwd.keySet ++ rev.keySet).size
 
   /** Calls `f(w, q)` for every edge `v -l-> w` with `δ(s, l) = q`. */
   def foreachSuccessor(v: Long, s: Int)(f: (Long, Int) => Unit): Unit =
-    fwd.get(v).foreach(_.foreach { case (w, l) =>
-      val id = dfa.labelId(l)
-      val q  = if (id < 0) -1 else dfa.step(s, id)
-      if (q >= 0) f(w, q)
+    fwd.get(v).foreach(_.foreachKey { k =>
+      val q = dfa.step(s, stateOf(k)) // the low bits hold the label id
+      if (q >= 0) f(vertexOf(k), q)
     })
 
-  /** Whether `p(u, r)` holds for some edge `u -l-> v` with `δ(r, l) = s`;
-    * the scan stops at the first.
+  /** Whether `p(u, r, l)` holds for some edge `u -l-> v` with
+    * `δ(r, l) = s`; the scan stops at the first.
     */
-  def existsPredecessor(v: Long, s: Int)(p: (Long, Int) => Boolean): Boolean =
-    rev.get(v).exists(_.exists { case (u, l) =>
-      val id = dfa.labelId(l)
-      id >= 0 && sourcesOf(id * nStates + s).exists(r => p(u, r))
+  def existsPredecessor(v: Long, s: Int)(p: (Long, Int, Int) => Boolean): Boolean =
+    rev.get(v).exists(_.keysIterator.exists { k =>
+      val (u, l) = (vertexOf(k), stateOf(k))
+      (0 until dfa.nStates).exists(r => dfa.step(r, l) == s && p(u, r, l))
     })
 
   /** Calls `f(u, r)` for every edge `u -l-> v` with `δ(r, l) = s`. */
   def foreachPredecessor(v: Long, s: Int)(f: (Long, Int) => Unit): Unit =
-    existsPredecessor(v, s) { (u, r) => f(u, r); false }
-
-  /** `(u, label)` for every edge `u -label-> v`. */
-  def inEdges(v: Long): Iterator[(Long, String)] = rev.get(v).iterator.flatten
+    existsPredecessor(v, s) { (u, r, _) => f(u, r); false }
 }
 
 /** Δ-PATH (Def. 22) of the negative-tuple PATH operators: one tree per
@@ -86,7 +85,7 @@ final class PathForest(dfa: Dfa) {
   require(dfa.nStates <= PathForest.MaxStates, s"DFA has ${dfa.nStates} states, at most ${PathForest.MaxStates} fit a key")
   require(dfa.labels.length <= PathForest.MaxStates, s"DFA has ${dfa.labels.length} labels, at most ${PathForest.MaxStates} fit a key")
 
-  val trees = mutable.HashMap.empty[Long, Tree]
+  private val trees    = mutable.LongMap.empty[Tree]
   private val inverted = mutable.LongMap.empty[mutable.HashSet[Tree]]
 
   /** Trees holding `(v, s)`, copied so callers may update the index. */
@@ -147,8 +146,9 @@ object PathForest {
   private val StateBits = 16
   private val MaxStates = 1 << StateBits
 
-  /** `(vertex, state)` packed into one unboxed key: the vertex in the
-    * high 48 bits (signed), the DFA state in the low 16.
+  /** `(vertex, state)`, or [[WindowGraph]]'s `(vertex, label id)`, packed
+    * into one unboxed key: the vertex in the high 48 bits (signed), the
+    * DFA state or label id in the low 16.
     */
   def key(v: Long, s: Int): Long = {
     require((v << StateBits >> StateBits) == v, s"vertex id $v does not fit in ${64 - StateBits} bits")
@@ -171,16 +171,19 @@ object PathForest {
 sealed abstract class NegativeTuplePathNode(regex: Regex, outLabel: String) extends Node {
   val dfa: Dfa = Dfa.fromRegex(regex)
 
-  protected val graph  = new WindowGraph(dfa)
-  private val forest   = new PathForest(dfa)
-  private val counting = new CountingDistinct
+  private[physical] val graph = new WindowGraph(dfa)
+  private val forest          = new PathForest(dfa)
+  private val counting        = new CountingDistinct
 
-  override def receive(d: Delta, slot: Int): Unit =
-    if (d.sign == 1) insert(d.sgt) else delete(d.sgt)
+  /** An edge whose label is outside the DFA's alphabet is dropped. */
+  override def receive(d: Delta, slot: Int): Unit = {
+    val l = dfa.labelId(d.sgt.label)
+    if (l >= 0) { if (d.sign == 1) insert(d.sgt, l) else delete(d.sgt, l) }
+  }
 
-  private def insert(t: Sgt): Unit =
-    if (graph.insert(t)) // duplicates leave the distinct graph unchanged
-      for ((s, q) <- dfa.transitionsOn(t.label); tree <- forest.treesFrom(t.src, s))
+  private def insert(t: Sgt, l: Int): Unit =
+    if (graph.insert(t.src, t.trg, l)) // duplicates leave the distinct graph unchanged
+      for (s <- 0 until dfa.nStates; q = dfa.step(s, l) if q >= 0; tree <- forest.treesFrom(t.src, s))
         relax(tree, t.trg, q, tree.levels(key(t.src, s)) + 1)
 
   /** Monotone level-decrease wave (DD's forward pass). New final tuples
@@ -197,7 +200,7 @@ sealed abstract class NegativeTuplePathNode(regex: Regex, outLabel: String) exte
       if (cur.forall(_ > cand)) {
         if (cur.isEmpty) {
           forest.index(v, s, tree)
-          if (dfa.finals.contains(s)) fresh += ((v, s))
+          if (dfa.isFinal(s)) fresh += ((v, s))
         }
         tree.levels(k) = cand
         graph.foreachSuccessor(v, s)((w, q) => queue.enqueue((w, q, cand + 1)))
@@ -213,12 +216,13 @@ sealed abstract class NegativeTuplePathNode(regex: Regex, outLabel: String) exte
     * still needs it. A tree goes once only its root is left; only a
     * re-levelled tree shrinks, as no transition enters the DFA's start.
     */
-  private def delete(t: Sgt): Unit =
-    if (graph.delete(t)) {
+  private def delete(t: Sgt, l: Int): Unit =
+    if (graph.delete(t.src, t.trg, l)) {
       val starts = for {
-        (s, q) <- dfa.transitionsOn(t.label)
-        tree   <- forest.treesWith(t.src, s)
-        kq      = key(t.trg, q)
+        s    <- 0 until dfa.nStates
+        q     = dfa.step(s, l) if q >= 0
+        tree <- forest.treesWith(t.src, s)
+        kq    = key(t.trg, q)
         if tree.levels.get(kq).contains(tree.levels(key(t.src, s)) + 1)
       } yield (tree, kq)
       for ((tree, ks) <- starts.groupMap(_._1)(_._2)) relevel(tree, ks)
@@ -241,7 +245,7 @@ sealed abstract class NegativeTuplePathNode(regex: Regex, outLabel: String) exte
       val (l, k) = byLevel.dequeue()
       if (!affected.contains(k)) {
         val (v, s) = (vertexOf(k), stateOf(k))
-        val cut = !graph.existsPredecessor(v, s) { (u, r) =>
+        val cut = !graph.existsPredecessor(v, s) { (u, r, _) =>
           traversalSteps += 1
           val ku = key(u, r)
           tree.levels.get(ku).contains(l - 1) && !affected.getOrElse(ku, false)
@@ -283,7 +287,7 @@ sealed abstract class NegativeTuplePathNode(regex: Regex, outLabel: String) exte
       val (v, s) = (vertexOf(k), stateOf(k))
       tree.levels.remove(k)
       forest.unindex(v, s, tree)
-      if (dfa.finals.contains(s)) emitResult(tree, v, s, -1)
+      if (dfa.isFinal(s)) emitResult(tree, v, s, -1)
     }
   }
 
@@ -324,11 +328,12 @@ final class NtPathNode(regex: Regex, outLabel: String) extends NegativeTuplePath
     var (cv, cs, l) = (v, s, tree.levels(key(v, s)))
     var path = List.empty[Edge]
     while (l > 0) {
-      val (u, lbl, sp) = graph.inEdges(cv).flatMap { case (u, lbl) =>
-        dfa.sourcesInto(lbl, cs).iterator.map((u, lbl, _))
-      }.find { case (u, _, sp) => tree.levels.get(key(u, sp)).contains(l - 1) }.get
-      path = Edge(u, cv, lbl) :: path
-      cv = u; cs = sp; l -= 1
+      graph.existsPredecessor(cv, cs) { (u, r, lbl) =>
+        val back = tree.levels.get(key(u, r)).contains(l - 1)
+        if (back) { path = Edge(u, cv, dfa.labels(lbl)) :: path; cv = u; cs = r }
+        back
+      }
+      l -= 1
     }
     path
   }

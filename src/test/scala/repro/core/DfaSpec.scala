@@ -49,17 +49,6 @@ class DfaSpec extends AnyFunSuite with PropertyChecks {
   test("nested: (a | b c)* a") { exhaustive(Regex.parse("(a | b c)* a")) }
   test("double closure: (a+ b)+") { exhaustive(Regex.parse("(a+ b)+")) }
 
-  test("transitionsOn lists exactly the label's transitions") {
-    val dfa = Dfa.fromRegex(Regex.parse("a b*"))
-    for ((s, t) <- dfa.transitionsOn("a")) assert(dfa.delta(s, "a").contains(t))
-    assert(dfa.transitionsOn("c").isEmpty)
-    // The reverse lookup is the exact inverse: δ(s, l) = t iff s ∈ sourcesInto(l, t).
-    for (l <- dfa.alphabet + "c"; t <- 0 until dfa.nStates)
-      assert(dfa.sourcesInto(l, t).toSet ==
-        (0 until dfa.nStates).filter(s => dfa.delta(s, l).contains(t)).toSet, s"($l, $t)")
-    assert(dfa.sourcesInto("b", dfa.delta(dfa.start, "a").flatMap(dfa.delta(_, "b")).get).size == 2)
-  }
-
   /** Every regex shape exercised above. */
   private val shapes: Seq[Regex] = Seq(Lbl("a"), Plus(Lbl("a")), Star(Lbl("a")),
     Concat(List(Lbl("a"), Lbl("b"), Lbl("c"))), Alt(List(Lbl("a"), Lbl("b")))) ++

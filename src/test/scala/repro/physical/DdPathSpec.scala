@@ -127,7 +127,29 @@ class DdPathSpec extends AnyFunSuite {
       assert(n.stateSize == 2)
       n.receive(Delta(e, -1), 0)
       assert(n.stateSize == 0)
+      assert(n.graph.vertices == 0, "the window keeps no entry for a vertex without edges")
     }
     assert(sink.count(_.sign == 1) == 1000 && sink.count(_.sign == -1) == 1000)
+  }
+
+  test("an out-of-range vertex id throws before the window changes") {
+    val (n, sink) = mkNode()
+    assertThrows[IllegalArgumentException](n.receive(Delta(sgt(x, 1L << 47, "a"), 1), 0))
+    assert(n.stateSize == 0 && n.graph.vertices == 0)
+    n.receive(Delta(sgt(y, x, "a"), 1), 0)
+    assert(sink.map(d => (d.sgt.key, d.sign)) == Seq(((y, x, "out"), 1)))
+  }
+
+  test("negative vertex ids and ids of ±(2^47 − 1) round-trip") {
+    val (n, sink) = mkNode()
+    val (lo, hi) = (1 - (1L << 47), (1L << 47) - 1)
+    val edges    = Seq(sgt(lo, -1L, "a"), sgt(-1L, hi, "a"))
+    val pairs    = Set((lo, -1L, "out"), (-1L, hi, "out"), (lo, hi, "out"))
+    for (e <- edges) n.receive(Delta(e, 1), 0)
+    assert(sink.map(d => (d.sgt.key, d.sign)).toSet == pairs.map((_, 1)))
+    sink.clear()
+    for (e <- edges) n.receive(Delta(e, -1), 0)
+    assert(sink.map(d => (d.sgt.key, d.sign)).toSet == pairs.map((_, -1)))
+    assert(n.stateSize == 0 && n.graph.vertices == 0)
   }
 }
