@@ -3,14 +3,13 @@ package repro.core
 import scala.collection.mutable
 
 /** Deterministic finite automaton over edge labels, built from a [[Regex]]
-  * via Thompson construction + subset construction (paper Alg. S-PATH
+  * via position automaton + subset construction (paper Alg. S-PATH
   * line 1, `ConstructDFA`).
   *
-  * States are `0 until nStates` with start state `0`. Note on semantics:
-  * every layer of this repo (logical fixpoint, S-PATH, DuckDB oracle)
-  * matches only non-empty paths, so whether `ε ∈ L(R)` is irrelevant —
-  * finality is only ever tested on states reached after consuming at
-  * least one edge.
+  * States are `0 until nStates` with start state `0`. Every layer of this
+  * repo (logical fixpoint, S-PATH, DuckDB oracle) matches only non-empty
+  * paths, so none tests the finality of the start state: `ε ∈ L(R)` is
+  * irrelevant.
   */
 final case class Dfa(
     nStates: Int,
@@ -55,85 +54,46 @@ final case class Dfa(
 
 object Dfa {
 
-  /** ε-NFA fragment with a single start and a single accept state. */
-  private final case class Nfa(
-      start: Int,
-      accept: Int,
-      eps: Map[Int, Set[Int]],
-      moves: Map[(Int, String), Set[Int]],
-      n: Int)
-
-  def fromRegex(r: Regex): Dfa = subsetConstruct(thompson(r))
-
-  private def thompson(r: Regex): Nfa = {
-    var next = 0
-    def fresh(): Int = { val s = next; next += 1; s }
-
-    def merge[K](a: Map[K, Set[Int]], b: Map[K, Set[Int]]): Map[K, Set[Int]] =
-      (a.keySet ++ b.keySet).map(k => k -> (a.getOrElse(k, Set.empty) ++ b.getOrElse(k, Set.empty))).toMap
-
-    def build(r: Regex): Nfa = r match {
+  /** Subset construction over the position automaton of `r` (Glushkov;
+    * Berry & Sethi, TCS 1986): each label occurrence is a position, and a
+    * state is the set of positions just read. State 0 has read nothing
+    * and is final iff `r` is nullable; no transition enters it. Labels go
+    * in order of first occurrence, which fixes the state numbering. `walk`
+    * gives each sub-expression's (nullable, first, last) and fills `follow`.
+    */
+  def fromRegex(r: Regex): Dfa = {
+    val labelOf = mutable.ArrayBuffer.empty[String]
+    val follow  = mutable.ArrayBuffer.empty[Set[Int]]
+    def walk(r: Regex): (Boolean, Set[Int], Set[Int]) = r match {
       case Regex.Lbl(l) =>
-        val s = fresh(); val a = fresh()
-        Nfa(s, a, Map.empty, Map((s, l) -> Set(a)), next)
+        val p = labelOf.size
+        labelOf += l; follow += Set.empty
+        (false, Set(p), Set(p))
       case Regex.Concat(rs) =>
-        rs.map(build).reduceLeft { (x, y) =>
-          Nfa(x.start, y.accept,
-            merge(merge(x.eps, y.eps), Map(x.accept -> Set(y.start))),
-            merge(x.moves, y.moves), next)
+        rs.map(walk).reduceLeft { (x, y) =>
+          for (p <- x._3) follow(p) ++= y._2
+          (x._1 && y._1, if (x._1) x._2 ++ y._2 else x._2, if (y._1) x._3 ++ y._3 else y._3)
         }
-      case Regex.Alt(rs) =>
-        val s = fresh(); val a = fresh()
-        val subs = rs.map(build)
-        val eps = subs.foldLeft(Map(s -> subs.map(_.start).toSet)) { (m, sub) =>
-          merge(merge(m, sub.eps), Map(sub.accept -> Set(a)))
-        }
-        Nfa(s, a, eps, subs.map(_.moves).foldLeft(Map.empty[(Int, String), Set[Int]])(merge), next)
-      case Regex.Star(inner) =>
-        val s = fresh(); val a = fresh()
-        val sub = build(inner)
-        val eps = merge(sub.eps,
-          Map(s -> Set(sub.start, a), sub.accept -> Set(sub.start, a)))
-        Nfa(s, a, eps, sub.moves, next)
-      case Regex.Plus(inner) =>
-        val s = fresh(); val a = fresh()
-        val sub = build(inner)
-        val eps = merge(sub.eps,
-          Map(s -> Set(sub.start), sub.accept -> Set(sub.start, a)))
-        Nfa(s, a, eps, sub.moves, next)
+      case Regex.Alt(rs) => rs.map(walk).reduceLeft((x, y) => (x._1 || y._1, x._2 ++ y._2, x._3 ++ y._3))
+      case Regex.Star(b) => loop(b).copy(_1 = true)
+      case Regex.Plus(b) => loop(b)
     }
-    build(r)
-  }
+    def loop(b: Regex) = { val x = walk(b); for (p <- x._3) follow(p) ++= x._2; x }
 
-  private def subsetConstruct(nfa: Nfa): Dfa = {
-    def closure(states: Set[Int]): Set[Int] = {
-      val seen  = mutable.Set.empty[Int] ++ states
-      val stack = mutable.Stack.empty[Int].pushAll(states)
-      while (stack.nonEmpty) {
-        val s = stack.pop()
-        for (t <- nfa.eps.getOrElse(s, Set.empty) if seen.add(t)) stack.push(t)
-      }
-      seen.toSet
-    }
-
-    val alphabet = nfa.moves.keysIterator.map(_._2).toSet
-    val startSet = closure(Set(nfa.start))
-    val ids      = mutable.LinkedHashMap[Set[Int], Int](startSet -> 0)
-    val trans    = mutable.Map.empty[(Int, String), Int]
-    val queue    = mutable.Queue(startSet)
+    val (nullable, first, last) = walk(r)
+    val labels = labelOf.distinct
+    val ids    = mutable.Map(Set.empty[Int] -> 0)
+    val trans  = mutable.Map.empty[(Int, String), Int]
+    val queue  = mutable.Queue(Set.empty[Int])
     while (queue.nonEmpty) {
-      val cur   = queue.dequeue()
-      val curId = ids(cur)
-      for (l <- alphabet) {
-        val moved = cur.flatMap(s => nfa.moves.getOrElse((s, l), Set.empty))
-        if (moved.nonEmpty) {
-          val tgt = closure(moved)
-          val tgtId = ids.getOrElseUpdate(tgt, { queue.enqueue(tgt); ids.size })
-          trans((curId, l)) = tgtId
-        }
+      val cur  = queue.dequeue()
+      val next = if (cur.isEmpty) first else cur.flatMap(follow)
+      for (l <- labels) {
+        val tgt = next.filter(labelOf(_) == l)
+        if (tgt.nonEmpty) trans((ids(cur), l)) = ids.getOrElseUpdate(tgt, { queue.enqueue(tgt); ids.size })
       }
     }
-    val finals = ids.collect { case (set, id) if set.contains(nfa.accept) => id }.toSet
+    val finals = ids.collect { case (s, id) if (s.isEmpty && nullable) || s.exists(last) => id }.toSet
     Dfa(ids.size, 0, finals, trans.toMap)
   }
 }

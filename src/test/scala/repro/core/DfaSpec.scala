@@ -70,11 +70,19 @@ class DfaSpec extends AnyFunSuite with PropertyChecks {
     }
   }
 
-  test("start state is 0 and deterministic") {
-    val dfa = Dfa.fromRegex(Regex.parse("(a b c)+"))
-    assert(dfa.start == 0)
-    val keys = dfa.transitions.keys.toSeq
-    assert(keys.distinct.size == keys.size)
+  test("start state is 0, and pinned DFAs: ans+, both Q3 shapes, (a a)+") {
+    def q3(a: String, b: String, c: String) =
+      Dfa(4, 0, Set(1, 2, 3), Map((0, a) -> 1, (1, b) -> 2, (1, c) -> 3, (2, b) -> 2, (2, c) -> 3, (3, c) -> 3))
+    val pinned = Seq(
+      "ans+"                       -> Dfa(2, 0, Set(1), Map((0, "ans") -> 1, (1, "ans") -> 1)),
+      "ans cmt* c2a*"              -> q3("ans", "cmt", "c2a"),
+      "likes replyOf* hasCreator*" -> q3("likes", "replyOf", "hasCreator"),
+      "(a a)+"                     -> Dfa(3, 0, Set(2), Map((0, "a") -> 1, (1, "a") -> 2, (2, "a") -> 1)))
+    for ((r, dfa) <- pinned) {
+      val got = Dfa.fromRegex(Regex.parse(r))
+      assert(got.start == 0, r)
+      assert(got == dfa, r)
+    }
   }
 
   test("alphabet restricted to regex labels") {

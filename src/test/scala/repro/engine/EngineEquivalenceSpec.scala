@@ -9,10 +9,11 @@ import repro.util.BruteForce
 import scala.util.Random
 
 /** The central correctness harness for the physical layer: for every
-  * Table 1 query, on randomized small streams, the persistent engines —
-  * direct (SGA) and negative-tuple (DD baseline) — must agree with the
-  * independent brute-force snapshot evaluator at every slide boundary
-  * (snapshot reducibility, paper Def. 15).
+  * Table 1 query, on randomized small streams, the persistent engine in
+  * each of its three modes — Direct (SGA), negative-tuple (NT) and
+  * differential (the DD baseline) — must agree with the independent
+  * brute-force snapshot evaluator at every slide boundary (snapshot
+  * reducibility, paper Def. 15).
   */
 class EngineEquivalenceSpec extends AnyFunSuite {
 
